@@ -10,7 +10,10 @@
 //	benchdiff -allow-missing -max-regress 25 BENCH_pr2.json BENCH_pr3.json
 //
 // Benchmarks present in only one file (added or retired) are listed but
-// never fail the gate. With -allow-missing, a nonexistent OLD file is not an
+// never fail the gate. Allocation entries ("<name> B/op", "<name>
+// allocs/op", recorded by benchjson for benchmarks that report them) are
+// printed with their deltas after the time report; they are informational
+// and never gate or enter the drift correction. With -allow-missing, a nonexistent OLD file is not an
 // error either: the diff is skipped with a note and the gate passes, so
 // `make ci` works on fresh clones that lack the previous PR's recording.
 //
@@ -41,6 +44,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 )
 
 func main() {
@@ -53,13 +57,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: benchdiff [-max-regress pct] [-allow-missing] [-drift-correct] OLD.json NEW.json")
 		os.Exit(2)
 	}
-	oldRes, err := load(flag.Arg(0))
+	oldRes, oldMem, err := load(flag.Arg(0))
 	if err != nil && *allowMissing && errors.Is(err, os.ErrNotExist) {
 		fmt.Printf("benchdiff: baseline %s missing; skipping regression gate\n", flag.Arg(0))
 		return
 	}
 	fatal(err)
-	newRes, err := load(flag.Arg(1))
+	newRes, newMem, err := load(flag.Arg(1))
 	fatal(err)
 
 	names := make([]string, 0, len(oldRes))
@@ -130,6 +134,7 @@ func main() {
 	for _, name := range added {
 		fmt.Printf("new      %-36s %s (no baseline)\n", name, ms(newRes[name]))
 	}
+	printMem(oldMem, newMem)
 
 	if regressions > 0 {
 		fmt.Fprintf(os.Stderr, "benchdiff: %d benchmark(s) regressed more than %.1f%% vs %s\n",
@@ -138,16 +143,68 @@ func main() {
 	}
 }
 
-func load(path string) (map[string]float64, error) {
+// load reads a benchjson recording, split into ns/op entries keyed by
+// benchmark name and allocation entries keyed "<name> <unit>".
+func load(path string) (times, mem map[string]float64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var m map[string]float64
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return m, nil
+	times, mem = map[string]float64{}, map[string]float64{}
+	for k, v := range m {
+		if strings.HasSuffix(k, " B/op") || strings.HasSuffix(k, " allocs/op") {
+			mem[k] = v
+		} else {
+			times[k] = v
+		}
+	}
+	return times, mem, nil
+}
+
+// printMem reports allocation deltas. They never fail the gate: allocation
+// counts are a layer attribution for time changes, not a budget.
+func printMem(oldMem, newMem map[string]float64) {
+	keys := make([]string, 0, len(newMem))
+	for k := range newMem {
+		keys = append(keys, k)
+	}
+	for k := range oldMem {
+		if _, ok := newMem[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		prev, hadPrev := oldMem[k]
+		cur, hasCur := newMem[k]
+		switch {
+		case !hasCur:
+			fmt.Printf("mem      %-46s gone (was %s)\n", k, qty(prev))
+		case !hadPrev:
+			fmt.Printf("mem      %-46s %s (no baseline)\n", k, qty(cur))
+		case prev == 0:
+			fmt.Printf("mem      %-46s %s -> %s\n", k, qty(prev), qty(cur))
+		default:
+			fmt.Printf("mem      %-46s %s -> %s (%+.1f%%)\n", k, qty(prev), qty(cur), 100*(cur-prev)/prev)
+		}
+	}
+}
+
+// qty renders a byte or allocation count with an SI suffix.
+func qty(v float64) string {
+	switch {
+	case v >= 1e9:
+		return fmt.Sprintf("%.2fG", v/1e9)
+	case v >= 1e6:
+		return fmt.Sprintf("%.2fM", v/1e6)
+	case v >= 1e3:
+		return fmt.Sprintf("%.1fK", v/1e3)
+	}
+	return fmt.Sprintf("%.0f", v)
 }
 
 func ms(ns float64) string {

@@ -1,9 +1,11 @@
 // Command benchjson converts `go test -bench` output on stdin into a JSON
 // object mapping benchmark name (without the -GOMAXPROCS suffix) to ns/op,
-// written to stdout. When a benchmark appears multiple times (`-count=N`),
-// the minimum ns/op is kept: the best-of-N sample is the standard way to
-// strip scheduler and cache jitter from a single-iteration measurement, and
-// it is what the benchdiff regression gate compares. The raw input is echoed
+// written to stdout. Benchmarks that report allocations (b.ReportAllocs or
+// -benchmem) also get "<name> B/op" and "<name> allocs/op" entries. When a
+// benchmark appears multiple times (`-count=N`), the minimum of each value
+// is kept: the best-of-N sample is the standard way to strip scheduler and
+// cache jitter from a single-iteration measurement, and its ns/op is what
+// the benchdiff regression gate compares. The raw input is echoed
 // to stderr so piping through benchjson keeps the benchmark progress
 // visible:
 //
@@ -36,12 +38,17 @@ func main() {
 			name = name[:i]
 		}
 		for j := 2; j+1 < len(fields); j += 2 {
-			if fields[j+1] != "ns/op" {
+			key := name
+			switch unit := fields[j+1]; unit {
+			case "ns/op":
+			case "B/op", "allocs/op":
+				key += " " + unit
+			default:
 				continue
 			}
 			if v, err := strconv.ParseFloat(fields[j], 64); err == nil {
-				if old, ok := results[name]; !ok || v < old {
-					results[name] = v
+				if old, ok := results[key]; !ok || v < old {
+					results[key] = v
 				}
 			}
 		}

@@ -269,7 +269,7 @@ func (e *exec) apply(th *threadState, cta *ctaState, in *isa.Instruction) (nextP
 		if t != nil {
 			return 0, false, t
 		}
-		if tr := e.store(th, cta, &in.Dst, in.DType, v); tr != nil {
+		if tr := e.store(th, cta, &in.Dst, accessWidth(in.DType), v); tr != nil {
 			return 0, false, tr
 		}
 		return nextPC, false, nil
@@ -282,7 +282,7 @@ func (e *exec) apply(th *threadState, cta *ctaState, in *isa.Instruction) (nextP
 			return 0, false, t
 		}
 		if in.Dst.Kind == isa.OpdMem {
-			if tr := e.store(th, cta, &in.Dst, in.DType, v); tr != nil {
+			if tr := e.store(th, cta, &in.Dst, accessWidth(in.DType), v); tr != nil {
 				return 0, false, tr
 			}
 			return nextPC, false, nil
@@ -357,7 +357,7 @@ func (e *exec) apply(th *threadState, cta *ctaState, in *isa.Instruction) (nextP
 		}
 	}
 	if in.Dst.Kind == isa.OpdMem {
-		if tr := e.store(th, cta, &in.Dst, in.DType, v); tr != nil {
+		if tr := e.store(th, cta, &in.Dst, accessWidth(in.DType), v); tr != nil {
 			return 0, false, tr
 		}
 		return nextPC, false, nil

@@ -37,21 +37,6 @@ func Execute(dev *Device, launch *Launch) (*Result, error) {
 		watchdog = DefaultWatchdog
 	}
 
-	e := &exec{
-		prog:        launch.Prog,
-		dev:         dev,
-		launch:      launch,
-		block:       launch.Block,
-		grid:        launch.Grid,
-		watchdog:    watchdog,
-		intra:       launch.IntraRec,
-		addrFlipBit: -1,
-	}
-	if !launch.Interpret {
-		e.plan = planFor(launch.Prog)
-	}
-	e.persist = newPersistState(launch.Inject)
-
 	nCTA := launch.Grid.Count()
 	if launch.FirstCTA < 0 || launch.FirstCTA >= nCTA {
 		return nil, fmt.Errorf("gpusim: FirstCTA %d outside grid of %d CTAs", launch.FirstCTA, nCTA)
@@ -89,54 +74,59 @@ func Execute(dev *Device, launch *Launch) (*Result, error) {
 		}
 	}
 
+	a := arenaPool.Get().(*arena)
+	defer a.release()
+	a.e = exec{
+		prog:        launch.Prog,
+		dev:         dev,
+		launch:      launch,
+		block:       launch.Block,
+		grid:        launch.Grid,
+		watchdog:    watchdog,
+		intra:       launch.IntraRec,
+		addrFlipBit: -1,
+		warpActive:  a.e.warpActive,
+	}
+	e := &a.e
+	if !launch.Interpret {
+		e.plan = planFor(launch.Prog)
+	}
+	e.persist = newPersistState(launch.Inject)
+
 	nThreads := nCTA * launch.Block.Count()
 	res := &Result{ThreadICnt: make([]int64, nThreads)}
 
 	threadsPerCTA := launch.Block.Count()
 	gx, gy := max(launch.Grid.X, 1), max(launch.Grid.Y, 1)
 	bx, by, bz := max(launch.Block.X, 1), max(launch.Block.Y, 1), max(launch.Block.Z, 1)
-
-	// injTh tracks the injected thread of a persistent fault once its CTA
-	// has been built, so AfterCTA can report whether the fault is still
-	// live. Before that CTA runs the fault is armed and conservatively
-	// live; after the thread exits (CTAs retire only when every thread is
-	// done or trapped) the fault is retired with it.
-	var injTh *threadState
+	cta := a.reserve(threadsPerCTA, sharedBytes)
 
 	// CTAs run in ctaid.z-major, x-minor launch order; ctaIndex is the
 	// linear position in that order, decoded back into grid coordinates so
 	// a launch can resume at an arbitrary CTA (Launch.FirstCTA).
 	for ctaIndex := launch.FirstCTA; ctaIndex < nCTA; ctaIndex++ {
-		var cta *ctaState
+		base := ctaIndex * threadsPerCTA
 		if ctaIndex == launch.FirstCTA && launch.Resume != nil {
 			// Mid-CTA resume: rebuild thread and shared-memory state from
 			// the intra-CTA snapshot (params are part of the shared copy).
-			cta = launch.Resume.materialize()
+			launch.Resume.materialize(a)
 		} else {
-			cx := ctaIndex % gx
-			cy := (ctaIndex / gx) % gy
-			cz := ctaIndex / (gx * gy)
-			cta = &ctaState{shared: make([]byte, sharedBytes)}
+			ctaid := Dim3{ctaIndex % gx, (ctaIndex / gx) % gy, ctaIndex / (gx * gy)}
+			clear(cta.shared)
 			for i, p := range launch.Params {
 				putWord(cta.shared, ParamBase+4*i, p)
 			}
-			base := ctaIndex * threadsPerCTA
 			tLinear := 0
 			for tz := 0; tz < bz; tz++ {
 				for ty := 0; ty < by; ty++ {
 					for tx := 0; tx < bx; tx++ {
-						cta.threads = append(cta.threads, &threadState{
-							flat:  base + tLinear,
-							tid:   Dim3{tx, ty, tz},
-							ctaid: Dim3{cx, cy, cz},
-						})
+						a.slab[tLinear] = threadState{flat: base + tLinear, tid: Dim3{tx, ty, tz}, ctaid: ctaid}
 						tLinear++
 					}
 				}
 			}
-		}
-		if p := e.persist; p != nil && p.thread/threadsPerCTA == ctaIndex {
-			injTh = cta.threads[p.thread-ctaIndex*threadsPerCTA]
+			// Negative extents count toward Block.Count but build no threads.
+			cta.threads = a.threads[:tLinear]
 		}
 		if e.intra != nil {
 			e.intra.beginCTA(ctaIndex, cta)
@@ -161,7 +151,14 @@ func Execute(dev *Device, launch *Launch) (*Result, error) {
 			res.Trap = trap
 			return res, nil
 		}
-		if launch.AfterCTA != nil && launch.AfterCTA(ctaIndex, e.persistLive(injTh)) {
+		if p := e.persist; p != nil {
+			// The next CTA reuses the slab, so the faulty thread's exit is
+			// recorded now rather than read back through a stale pointer.
+			if local := p.thread - base; local >= 0 && local < len(cta.threads) {
+				p.retired = cta.threads[local].done
+			}
+		}
+		if launch.AfterCTA != nil && launch.AfterCTA(ctaIndex, e.persistLive()) {
 			return res, nil
 		}
 	}

@@ -20,6 +20,9 @@ type persistState struct {
 	thread  int   // flat id of the faulty thread
 	dynInst int64 // activation point: live once thread.dynCount > dynInst
 	active  bool
+	// retired records that the faulty thread exited, taken when its CTA
+	// completes; the fault's reach ends there.
+	retired bool
 
 	stuck1 bool // the stuck value (false = stuck at 0)
 	// InjectStuckPred only: the clamped register and flag bit.
@@ -99,18 +102,16 @@ func (e *exec) persistAfterStep(th *threadState, blocked bool) bool {
 
 // persistLive reports whether the launch's persistent fault can still
 // influence execution: the fault is armed or active and its thread has not
-// exited. injTh is the injected thread's state once its CTA has been built
-// (nil before — the fault is then armed in a CTA yet to run, hence live).
-// Transient and absent injections are never live at a CTA boundary: a
-// transient fault's effects are ordinary memory state, fully captured by
-// the boundary snapshot's page images. Execute feeds this to the AfterCTA
-// hook so convergence-hash early exits can refuse to fire while a
+// exited. Until the faulty thread's CTA completes the fault is conservatively
+// live (armed in a CTA yet to run, or running); Execute records the thread's
+// exit in retired when that CTA finishes, because later CTAs reuse the
+// thread slab. Transient and absent injections are never live at a CTA
+// boundary: a transient fault's effects are ordinary memory state, fully
+// captured by the boundary snapshot's page images. Execute feeds this to the
+// AfterCTA hook so convergence-hash early exits can refuse to fire while a
 // scheduler-corrupting fault could still diverge a later CTA.
-func (e *exec) persistLive(injTh *threadState) bool {
-	if e.persist == nil {
-		return false
-	}
-	return injTh == nil || !injTh.done
+func (e *exec) persistLive() bool {
+	return e.persist != nil && !e.persist.retired
 }
 
 // laneFrozen reports whether th is the faulty lane of an activated

@@ -324,9 +324,9 @@ func compileSrc(in *isa.Instruction, i int) srcFunc {
 	}
 	o := in.Srcs[i]
 	if o.Kind == isa.OpdMem {
-		t := in.SType
+		w, signed := accessWidth(in.SType), in.SType.Signed()
 		return func(e *exec, th *threadState, cta *ctaState) (uint32, *Trap) {
-			return e.load(th, cta, &o, t)
+			return e.load(th, cta, &o, w, signed)
 		}
 	}
 	if f := compileRegSrc(o, in.SType); f != nil {
@@ -694,13 +694,13 @@ func compileInstr(p *isa.Program, pc int, op *compiledOp) {
 	case isa.OpSt:
 		src := compileSrc(in, 0)
 		dst := in.Dst
-		dt := in.DType
+		w := accessWidth(in.DType)
 		op.seq = func(e *exec, th *threadState, cta *ctaState) *Trap {
 			v, tr := src(e, th, cta)
 			if tr != nil {
 				return tr
 			}
-			return e.store(th, cta, &dst, dt, v)
+			return e.store(th, cta, &dst, w, v)
 		}
 		return
 
@@ -708,13 +708,13 @@ func compileInstr(p *isa.Program, pc int, op *compiledOp) {
 		src := compileSrc(in, 0)
 		if in.Dst.Kind == isa.OpdMem {
 			dst := in.Dst
-			dt := in.DType
+			w := accessWidth(in.DType)
 			op.seq = func(e *exec, th *threadState, cta *ctaState) *Trap {
 				v, tr := src(e, th, cta)
 				if tr != nil {
 					return tr
 				}
-				return e.store(th, cta, &dst, dt, v)
+				return e.store(th, cta, &dst, w, v)
 			}
 			return
 		}
@@ -872,7 +872,7 @@ func compileCompute(in *isa.Instruction, op *compiledOp) {
 	sat := in.Sat && in.DType == isa.TypeF32
 	memDst := in.Dst.Kind == isa.OpdMem
 	dst := in.Dst
-	dt := in.DType
+	w := accessWidth(in.DType)
 
 	if u := aluUnary(in); u != nil {
 		if sat {
@@ -895,7 +895,7 @@ func compileCompute(in *isa.Instruction, op *compiledOp) {
 				if tr != nil {
 					return tr
 				}
-				return e.store(th, cta, &dst, dt, u(a))
+				return e.store(th, cta, &dst, w, u(a))
 			}
 			return
 		}
@@ -942,7 +942,7 @@ func compileCompute(in *isa.Instruction, op *compiledOp) {
 				if tr != nil {
 					return tr
 				}
-				return e.store(th, cta, &dst, dt, bv(a, b))
+				return e.store(th, cta, &dst, w, bv(a, b))
 			}
 			return
 		}
@@ -1006,7 +1006,7 @@ func compileCompute(in *isa.Instruction, op *compiledOp) {
 			}
 			v := tv(a, b, c)
 			if memDst {
-				return e.store(th, cta, &dst, dt, v)
+				return e.store(th, cta, &dst, w, v)
 			}
 			var fl uint8
 			if needFlags {

@@ -192,7 +192,7 @@ func (e *exec) sourceValue(th *threadState, cta *ctaState, o *isa.Operand, t isa
 	case isa.OpdImm:
 		return o.Imm, nil
 	case isa.OpdMem:
-		return e.load(th, cta, o, t)
+		return e.load(th, cta, o, accessWidth(t), t.Signed())
 	}
 	return 0, &Trap{Kind: TrapInvalid, Thread: th.flat, PC: th.pc, Msg: "empty operand"}
 }
@@ -237,18 +237,21 @@ func (e *exec) memSlice(cta *ctaState, space isa.MemSpace) []byte {
 	return nil
 }
 
-// load reads from memory with bounds and alignment checking; violations trap
-// (the simulator's "crash" outcome).
-func (e *exec) load(th *threadState, cta *ctaState, o *isa.Operand, t isa.DataType) (uint32, *Trap) {
+// load reads a w-byte value (w from accessWidth: 1, 2 or 4) from memory
+// with bounds and alignment checking, sign-extending sub-word loads when
+// signed; violations trap (the simulator's "crash" outcome). The compiled
+// plan passes w and signed pre-decoded. Alignment is tested as addr&(w-1),
+// which equals addr%w because w is a power of two and the range check has
+// already rejected negative addresses.
+func (e *exec) load(th *threadState, cta *ctaState, o *isa.Operand, w int, signed bool) (uint32, *Trap) {
 	addr := int(e.address(th, o))
-	w := accessWidth(t)
 	var v uint32
 	if o.Space == isa.SpaceGlobal {
 		if addr < 0 || addr+w > e.dev.size {
 			return 0, &Trap{Kind: TrapMemFault, Thread: th.flat, PC: th.pc,
 				Msg: "load out of range"}
 		}
-		if addr%w != 0 {
+		if addr&(w-1) != 0 {
 			return 0, &Trap{Kind: TrapMemFault, Thread: th.flat, PC: th.pc,
 				Msg: "misaligned load"}
 		}
@@ -259,7 +262,7 @@ func (e *exec) load(th *threadState, cta *ctaState, o *isa.Operand, t isa.DataTy
 			return 0, &Trap{Kind: TrapMemFault, Thread: th.flat, PC: th.pc,
 				Msg: "load out of range"}
 		}
-		if addr%w != 0 {
+		if addr&(w-1) != 0 {
 			return 0, &Trap{Kind: TrapMemFault, Thread: th.flat, PC: th.pc,
 				Msg: "misaligned load"}
 		}
@@ -272,7 +275,7 @@ func (e *exec) load(th *threadState, cta *ctaState, o *isa.Operand, t isa.DataTy
 			v = getWord(mem, addr)
 		}
 	}
-	if t.Signed() {
+	if signed {
 		switch w {
 		case 1:
 			v = uint32(int32(int8(v)))
@@ -283,20 +286,20 @@ func (e *exec) load(th *threadState, cta *ctaState, o *isa.Operand, t isa.DataTy
 	return v, nil
 }
 
-// store writes to memory with bounds and alignment checking.
-func (e *exec) store(th *threadState, cta *ctaState, o *isa.Operand, t isa.DataType, v uint32) *Trap {
+// store writes a w-byte value (w from accessWidth) to memory with bounds and
+// alignment checking.
+func (e *exec) store(th *threadState, cta *ctaState, o *isa.Operand, w int, v uint32) *Trap {
 	if o.Space == isa.SpaceConst {
 		return &Trap{Kind: TrapMemFault, Thread: th.flat, PC: th.pc,
 			Msg: "store to const space"}
 	}
 	addr := int(e.address(th, o))
-	w := accessWidth(t)
 	if o.Space == isa.SpaceGlobal {
 		if addr < 0 || addr+w > e.dev.size {
 			return &Trap{Kind: TrapMemFault, Thread: th.flat, PC: th.pc,
 				Msg: "store out of range"}
 		}
-		if addr%w != 0 {
+		if addr&(w-1) != 0 {
 			return &Trap{Kind: TrapMemFault, Thread: th.flat, PC: th.pc,
 				Msg: "misaligned store"}
 		}
@@ -308,7 +311,7 @@ func (e *exec) store(th *threadState, cta *ctaState, o *isa.Operand, t isa.DataT
 		return &Trap{Kind: TrapMemFault, Thread: th.flat, PC: th.pc,
 			Msg: "store out of range"}
 	}
-	if addr%w != 0 {
+	if addr&(w-1) != 0 {
 		return &Trap{Kind: TrapMemFault, Thread: th.flat, PC: th.pc,
 			Msg: "misaligned store"}
 	}

@@ -121,18 +121,13 @@ func (ws *WarpSnapshot) sizeBytes() int64 {
 	return n
 }
 
-// materialize builds a fresh ctaState from the snapshot. Thread states are
-// deep-copied so the snapshot stays immutable across repeated resumes.
-func (ws *WarpSnapshot) materialize() *ctaState {
-	cta := &ctaState{
-		threads: make([]*threadState, len(ws.threads)),
-		shared:  append([]byte(nil), ws.shared...),
-	}
-	for i := range ws.threads {
-		th := ws.threads[i]
-		cta.threads[i] = &th
-	}
-	return cta
+// materialize copies the snapshot's thread and shared-memory state into the
+// launch's arena CTA, which Execute has sized to match. The snapshot itself
+// stays immutable across repeated resumes.
+func (ws *WarpSnapshot) materialize(a *arena) {
+	copy(a.slab, ws.threads)
+	copy(a.cta.shared, ws.shared)
+	a.cta.threads = a.threads[:len(ws.threads)]
 }
 
 // WarpCheckpoints is the immutable result of intra-CTA recording: per-CTA
