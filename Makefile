@@ -39,12 +39,12 @@ campaign-smoke:
 	$(GO) test -race -run 'TestCampaignInterruptResume|TestCampaignShardMerge' ./internal/fault
 
 # Persistent-fault smoke against the real fsprune CLI: snapshots carry the
-# full scheduler/synchronization ledger (DESIGN.md §3.11), so every
+# full scheduler/synchronization ledger (DESIGN.md §3.8), so every
 # persistent model — scheduler-corrupting ones included — must keep the
 # fast-forward engine. For each model the -stats line must show CTA
-# skipping and no fallback note (the stats line only mentions fallbacks
-# when the count is nonzero, so the check is for absence), and the -json
-# report must omit the full_run_fallbacks field entirely.
+# skipping, and neither the stats line nor the -json report may mention
+# full-run fallbacks: the engine has no fallback path, and these checks
+# guard against one returning.
 stuckat-smoke:
 	for m in stuck-active-mask stuck-barrier stuck-pred; do \
 		out=$$($(GO) run ./cmd/fsprune -kernel "GEMM K1" -action campaign -model $$m -baseline 40 -stats) || exit 1; \

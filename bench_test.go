@@ -166,7 +166,7 @@ func benchInterpStep(b *testing.B, warpSize int, interpret bool) {
 // BenchmarkInterpStep and BenchmarkInterpStepWarp run the compiled plan
 // under the serial and SIMT-lockstep schedulers; the two Reference variants
 // run the identical launches through the reference interpreter
-// (Launch.Interpret, the CLI's -compiled=false).
+// (Launch.Interpret).
 func BenchmarkInterpStep(b *testing.B)              { benchInterpStep(b, 0, false) }
 func BenchmarkInterpStepWarp(b *testing.B)          { benchInterpStep(b, 32, false) }
 func BenchmarkInterpStepReference(b *testing.B)     { benchInterpStep(b, 0, true) }
@@ -262,15 +262,12 @@ func BenchmarkCampaignFullRunMemAddr(b *testing.B)    { benchCampaign(b, true, f
 
 // The persistent-fault benchmarks price the stuck-at models on the
 // checkpointed engine against an explicit full-run reference. Snapshots
-// carry the complete scheduler/synchronization ledger (DESIGN.md §3.11),
+// carry the complete scheduler/synchronization ledger (DESIGN.md §3.8),
 // so every persistent model — the scheduler-corrupting stuck-active-mask
 // included — keeps fast-forward: prefix skip, early exit, and the
 // injected thread pinned to the careful tier forever. The FullRun
 // reference disables the engine outright, measuring what checkpointing
-// buys for a persistent model. (Before §3.11, stuck-active-mask was
-// forced to per-site full runs; the old BenchmarkCampaignStuckAtFallback
-// that priced that degradation is retired — benchdiff compares only the
-// intersection of recordings, so the retirement is gate-neutral.)
+// buys for a persistent model.
 func BenchmarkCampaignStuckAtCheckpoint(b *testing.B) {
 	benchCampaign(b, false, fault.ModelStuckPred)
 }

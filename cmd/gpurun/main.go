@@ -33,7 +33,6 @@ func main() {
 	warp := flag.Int("warp", 0, "SIMT lockstep warp width (0 = thread-serial scheduling)")
 	intraStride := flag.Int("intra-stride", 0, "dynamic instructions between intra-CTA warp snapshots for -inject (0 = auto-tune, <0 = disable)")
 	showStats := flag.Bool("stats", false, "report prepared-target cache stats after the run")
-	compiled := flag.Bool("compiled", true, "execute via the pre-decoded compiled plan (false = reference interpreter; outcomes are bit-identical)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file (written on normal exit)")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on normal exit")
 	flag.Parse()
@@ -73,7 +72,6 @@ func main() {
 	}
 
 	inst.Target.IntraStride = *intraStride
-	inst.Target.Interpret = !*compiled
 	inst.Target.Cache = fault.DefaultPreparedCache()
 	fatal(inst.Target.Prepare())
 	prof := inst.Target.Profile()
@@ -85,12 +83,11 @@ func main() {
 		// Re-execute under SIMT lockstep scheduling and verify equivalence.
 		dev := inst.Target.Init.Clone()
 		res, err := gpusim.Execute(dev, &gpusim.Launch{
-			Prog:      inst.Target.Prog,
-			Grid:      inst.Target.Grid,
-			Block:     inst.Target.Block,
-			Params:    inst.Target.Params,
-			WarpSize:  *warp,
-			Interpret: !*compiled,
+			Prog:     inst.Target.Prog,
+			Grid:     inst.Target.Grid,
+			Block:    inst.Target.Block,
+			Params:   inst.Target.Params,
+			WarpSize: *warp,
 		})
 		fatal(err)
 		if res.Trap != nil {

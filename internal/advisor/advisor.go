@@ -11,7 +11,7 @@
 // attributes a live fault.CampaignResult, FromJournal attributes a
 // replayed journal, and both produce the same record stream for equal
 // campaigns, so Analyze — and therefore the emitted report.Advice JSON —
-// is byte-identical across the two paths. DESIGN.md §3.10 documents the
+// is byte-identical across the two paths. DESIGN.md §3.9 documents the
 // statistical model and the protection-simulation composition argument.
 package advisor
 

@@ -58,7 +58,7 @@ func (g *groupAcc) stats(rankBy string, confidence float64) report.RankStats {
 	// observation would shrink the bounds below what the data supports.
 	// For uniform weights ESS equals the count exactly, so unweighted
 	// campaigns keep their classic count-based Wilson interval bit for bit
-	// (DESIGN.md §3.10).
+	// (DESIGN.md §3.9).
 	ess := stats.KishESS(g.sumW, g.sumW2)
 	var pSDC float64
 	if total > 0 {
@@ -211,7 +211,7 @@ func sortRanked[T any](s []T, key func(T) (float64, int)) {
 // greedily by SDC mass per unit overhead (the classic knapsack-relaxation
 // order); protecting an instruction converts its entire SDC mass to
 // detected and leaves every other outcome untouched — the composition
-// argument for why per-instruction deltas sum is in DESIGN.md §3.10. The
+// argument for why per-instruction deltas sum is in DESIGN.md §3.9. The
 // frontier always ranks by SDC regardless of Options.RankBy: detection is
 // what duplicate-and-compare buys, and DUE mass is already detected.
 //

@@ -24,7 +24,7 @@ func Render(w io.Writer, adv *report.Advice, top, width int) {
 	fmt.Fprintf(w, "overall: masked %.2f%%  sdc %.2f%%  other %.2f%%  (%d experiments)\n",
 		adv.Profile.MaskedPct, adv.Profile.SDCPct, adv.Profile.OtherPct, adv.Profile.Experiments)
 	if !adv.DMRSound {
-		fmt.Fprintf(w, "note: duplicate-and-compare is not a sound detector for model %s; the frontier is an upper bound (DESIGN.md §3.10)\n", adv.Model)
+		fmt.Fprintf(w, "note: duplicate-and-compare is not a sound detector for model %s; the frontier is an upper bound (DESIGN.md §3.9)\n", adv.Model)
 	}
 
 	fmt.Fprintf(w, "\nmost vulnerable threads (of %d sampled):\n", len(adv.Threads))

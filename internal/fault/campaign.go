@@ -79,14 +79,6 @@ type CampaignStats struct {
 	// snapshot, skipping the injected CTA's fault-free prefix in addition
 	// to whole prefix CTAs.
 	IntraSkips int64
-	// FullRunFallbacks counts runs that ignored the target's checkpoint
-	// store and re-executed from the pristine image because their fault
-	// model is not fast-forward sound. Every built-in model is sound since
-	// the scheduler-complete snapshot work (DESIGN.md §3.11), so fresh runs
-	// always report zero; the counter survives so journals recorded under
-	// the old conservative engine (records carrying fb=1) replay and merge
-	// faithfully, and as the surface for future unsound models.
-	FullRunFallbacks int64
 	// IntraCheckpointBytes approximates the memory retained by the target's
 	// intra-CTA snapshot store (register files, shared memory, page deltas);
 	// like CheckpointBytes it is a per-target figure, not per run.
@@ -134,7 +126,6 @@ func (s *CampaignStats) Merge(o CampaignStats) {
 	s.CTAsSkipped += o.CTAsSkipped
 	s.EarlyExits += o.EarlyExits
 	s.IntraSkips += o.IntraSkips
-	s.FullRunFallbacks += o.FullRunFallbacks
 	s.Replayed += o.Replayed
 	s.Retries += o.Retries
 	s.Quarantined += o.Quarantined
@@ -165,9 +156,6 @@ func (s CampaignStats) String() string {
 	if s.IntraSkips > 0 || s.IntraCheckpointBytes > 0 {
 		out += fmt.Sprintf(", %d intra-CTA skips (%d KiB warp snapshots)",
 			s.IntraSkips, s.IntraCheckpointBytes/1024)
-	}
-	if s.FullRunFallbacks > 0 {
-		out += fmt.Sprintf(", %d full-run fallbacks", s.FullRunFallbacks)
 	}
 	if s.Replayed > 0 {
 		out += fmt.Sprintf(", %d replayed from journal", s.Replayed)
@@ -533,7 +521,7 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 		workers = len(work)
 	}
 
-	var runs, retries, nquar, ctasSkipped, earlyExits, intraSkips, fullRunFB atomic.Int64
+	var runs, retries, nquar, ctasSkipped, earlyExits, intraSkips atomic.Int64
 
 	// Cancellation state: errLimit is len(work) while healthy, and drops to
 	// the lowest failing work position seen so far. firstErr tracks the
@@ -639,9 +627,6 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 					if cost.intraResumed {
 						intraSkips.Add(1)
 					}
-					if cost.fullRunFallback {
-						fullRunFB.Add(1)
-					}
 					outcomes[i] = o
 					done[i] = true
 					if j := opt.Journal; j != nil {
@@ -669,7 +654,6 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 	st.CTAsSkipped = ctasSkipped.Load()
 	st.EarlyExits = earlyExits.Load()
 	st.IntraSkips = intraSkips.Load()
-	st.FullRunFallbacks = fullRunFB.Load()
 	if errLimit.Load() < int64(len(work)) {
 		return nil, st, firstErr
 	}

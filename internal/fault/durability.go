@@ -236,18 +236,17 @@ func (t *Target) validateJournal(j *journal.Journal, model Model, nsites int, sh
 // journalRecord assembles the write-ahead record of one completed site.
 func journalRecord(i int, ws WeightedSite, o Outcome, cost runCost, attempts int, quarantine string) journal.Record {
 	return journal.Record{
-		Index:           i,
-		Thread:          ws.Site.Thread,
-		DynInst:         ws.Site.DynInst,
-		Bit:             ws.Site.Bit,
-		Outcome:         uint8(o),
-		Weight:          ws.Weight,
-		CTAsSkipped:     cost.ctasSkipped,
-		EarlyExit:       cost.earlyExit,
-		IntraResumed:    cost.intraResumed,
-		FullRunFallback: cost.fullRunFallback,
-		Attempts:        attempts,
-		Err:             quarantine,
+		Index:        i,
+		Thread:       ws.Site.Thread,
+		DynInst:      ws.Site.DynInst,
+		Bit:          ws.Site.Bit,
+		Outcome:      uint8(o),
+		Weight:       ws.Weight,
+		CTAsSkipped:  cost.ctasSkipped,
+		EarlyExit:    cost.earlyExit,
+		IntraResumed: cost.intraResumed,
+		Attempts:     attempts,
+		Err:          quarantine,
 	}
 }
 

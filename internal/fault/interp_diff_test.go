@@ -13,8 +13,8 @@ import (
 // and address faults — a campaign on the compiled path with every
 // acceleration layer enabled (CTA checkpoints, intra-CTA snapshots) must
 // give outcome-for-outcome identical results to the reference interpreter
-// running full runs from the pristine image (Target.Interpret, the CLI's
-// -compiled=false), under both schedulers.
+// running full runs from the pristine image (Target.Interpret), under both
+// schedulers.
 func TestCompiledCampaignMatchesInterpreter(t *testing.T) {
 	for _, warp := range []int{0, 4} {
 		warp := warp

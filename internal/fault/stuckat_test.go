@@ -57,9 +57,8 @@ func stuckReference(t *testing.T, ref *fault.Target, sites []fault.WeightedSite,
 // stuck-at site must give identical outcomes across {interpreter, compiled}
 // × {checkpointed + intra-CTA resume, full run} × {serial, warp} — with every
 // model, including the scheduler-corrupting mask and barrier stuck-ats,
-// riding the fast-forward engine with zero full-run fallbacks (the
-// scheduler-complete snapshot argument, DESIGN.md §3.11), which the stats
-// must surface.
+// riding the fast-forward engine (the scheduler-complete snapshot argument,
+// DESIGN.md §3.8), which the stats must surface.
 func TestStuckAtMatchesFullRunExhaustive(t *testing.T) {
 	for _, warp := range []int{0, 4} {
 		warp := warp
@@ -116,11 +115,6 @@ func TestStuckAtMatchesFullRunExhaustive(t *testing.T) {
 							}
 						}
 						st := res.Stats
-						if st.FullRunFallbacks != 0 {
-							// Every persistent model is fast-forward sound
-							// now; any fallback is a regression.
-							t.Fatalf("%s: model %s fell back %d times, want 0", v.name, model, st.FullRunFallbacks)
-						}
 						if !v.fullRun {
 							if st.CTAsSkipped == 0 {
 								t.Fatalf("%s: fast-forward never skipped a CTA for %s", v.name, model)
@@ -198,10 +192,6 @@ func TestStuckAtGaussianEquivalence(t *testing.T) {
 									warp, model, fullRun, sites[i].Site, res.PerSite[i], want[i])
 							}
 						}
-						if res.Stats.FullRunFallbacks != 0 {
-							t.Fatalf("warp %d model %s fullrun %v: %d fallbacks, want 0",
-								warp, model, fullRun, res.Stats.FullRunFallbacks)
-						}
 					}
 				}
 			}
@@ -209,14 +199,11 @@ func TestStuckAtGaussianEquivalence(t *testing.T) {
 	}
 }
 
-// TestStuckAtCampaignSmoke pins the zero-fallback observability chain end to
-// end for every persistent model: since the scheduler-complete snapshot work
-// (DESIGN.md §3.11) no built-in model degrades to per-site full runs, so the
-// counter must read zero in CampaignStats, stay out of the stats line and
-// the report JSON (omitempty), aggregate to zero through the journal/fsmerge
-// path, and the campaign must demonstrably have fast-forwarded instead.
-// (The non-zero chain is covered by TestMixedEraJournalFallbacks, which
-// replays journals recorded under the old conservative engine.)
+// TestStuckAtCampaignSmoke pins the fast-forward observability chain end to
+// end for every persistent model: snapshots are scheduler-complete
+// (DESIGN.md §3.8), so every campaign must demonstrably fast-forward, the
+// stats line and report JSON carry no fallback counter, and the journal
+// merges through the fsmerge path under the campaign's model.
 func TestStuckAtCampaignSmoke(t *testing.T) {
 	run := func(model fault.Model, jpath string) *fault.CampaignResult {
 		tg := chainHangTarget(t)
@@ -245,9 +232,6 @@ func TestStuckAtCampaignSmoke(t *testing.T) {
 	for _, model := range persistentModels {
 		jpath := filepath.Join(t.TempDir(), model.String()+".journal")
 		res := run(model, jpath)
-		if res.Stats.FullRunFallbacks != 0 {
-			t.Fatalf("%s fallbacks = %d, want 0", model, res.Stats.FullRunFallbacks)
-		}
 		if res.Stats.CTAsSkipped == 0 {
 			t.Fatalf("%s campaign never fast-forwarded", model)
 		}
@@ -262,8 +246,6 @@ func TestStuckAtCampaignSmoke(t *testing.T) {
 			t.Fatalf("%s: zero fallbacks still serialized: %s", model, doc)
 		}
 
-		// The journal's per-record fb flags must aggregate to the same
-		// (zero) count through the fsmerge path.
 		fp, recs, err := journal.ReadFile(jpath)
 		if err != nil {
 			t.Fatal(err)
@@ -271,9 +253,6 @@ func TestStuckAtCampaignSmoke(t *testing.T) {
 		merged, err := report.NewMerged(fp, recs)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if merged.Campaign.FullRunFallbacks != 0 {
-			t.Fatalf("%s merged report fallbacks = %d, want 0", model, merged.Campaign.FullRunFallbacks)
 		}
 		if merged.Model != model.String() {
 			t.Fatalf("merged report model = %q, want %q", merged.Model, model)
@@ -347,13 +326,12 @@ func TestParseModelRoundTrip(t *testing.T) {
 }
 
 // TestMixedEraJournalFallbacks: journals recorded under the old conservative
-// engine — whose scheduler-model records carry fb=1 because every such site
-// degraded to a per-site full run — must resume and fsmerge under the new
-// always-sound engine without skew: replayed outcomes are final, fresh sites
-// ride the fast-forward engine with zero new fallbacks, Dist/PerSite are
-// bit-identical to an uninterrupted new-engine campaign, and the merged
-// report's full_run_fallbacks equals exactly the old-era record count (each
-// fb flag counted once, never double-counted through replay).
+// engine — where every scheduler-model site ran as a per-site full run with
+// no fast-forward savings — must resume and fsmerge under the current
+// engine without skew: replayed outcomes are final, fresh sites ride the
+// fast-forward engine, and Dist/PerSite and the merged profile are
+// bit-identical to an uninterrupted campaign. (The old records' "fb" flag
+// itself is pinned by journal's TestLegacyFallbackRecordDecodes.)
 func TestMixedEraJournalFallbacks(t *testing.T) {
 	const oldEra = 12
 	model := fault.ModelStuckActiveMask
@@ -374,8 +352,7 @@ func TestMixedEraJournalFallbacks(t *testing.T) {
 	}
 
 	// Forge the old engine's journal: the first oldEra sites recorded as
-	// full-run fallbacks (fb=1, no fast-forward savings). Outcomes match the
-	// reference — the old conservative engine computed the same per-site
+	// full runs (no fast-forward savings). Outcomes match the reference — the old conservative engine computed the same per-site
 	// outcomes, just via pristine full runs (PR 8's equivalence proof).
 	fp := tg.JournalFingerprint(model, len(sites), "small", 9, fault.Shard{})
 	jpath := filepath.Join(t.TempDir(), "oldera.journal")
@@ -387,7 +364,7 @@ func TestMixedEraJournalFallbacks(t *testing.T) {
 		rec := journal.Record{
 			Index: i, Thread: sites[i].Site.Thread, DynInst: sites[i].Site.DynInst,
 			Bit: sites[i].Site.Bit, Outcome: uint8(ref.PerSite[i]),
-			Weight: sites[i].Weight, FullRunFallback: true, Attempts: 1,
+			Weight: sites[i].Weight, Attempts: 1,
 		}
 		if err := j.Append(rec); err != nil {
 			t.Fatal(err)
@@ -420,14 +397,11 @@ func TestMixedEraJournalFallbacks(t *testing.T) {
 	if res.Stats.Replayed != oldEra {
 		t.Fatalf("replayed %d records, want %d", res.Stats.Replayed, oldEra)
 	}
-	if res.Stats.FullRunFallbacks != 0 {
-		t.Fatalf("new engine recorded %d fresh fallbacks, want 0", res.Stats.FullRunFallbacks)
-	}
 	if res.Stats.CTAsSkipped == 0 {
 		t.Fatal("fresh sites never fast-forwarded")
 	}
 
-	// The fsmerge door: fb flags sum to the old-era record count only.
+	// The fsmerge door.
 	mfp, recs, err := journal.ReadFile(jpath)
 	if err != nil {
 		t.Fatal(err)
@@ -438,10 +412,6 @@ func TestMixedEraJournalFallbacks(t *testing.T) {
 	merged, err := report.NewMerged(mfp, recs)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if merged.Campaign.FullRunFallbacks != oldEra {
-		t.Fatalf("merged fallbacks = %d, want %d (old-era records only, not double-counted)",
-			merged.Campaign.FullRunFallbacks, oldEra)
 	}
 	if want := report.NewProfile(ref.Dist); merged.Profile != want {
 		t.Fatalf("merged profile %+v != reference %+v", merged.Profile, want)

@@ -61,11 +61,10 @@ type Target struct {
 	// FullRun is set.
 	IntraStride int
 
-	// Interpret disables the simulator's compiled execution plan for every
-	// run of this target (gpusim.Launch.Interpret): the reference
-	// interpreter executes each instruction instead of the pre-decoded
-	// closure plan. Outcomes are bit-identical either way; the switch is
-	// the -compiled=false differential-testing escape hatch.
+	// Interpret runs every launch of this target on the simulator's
+	// reference interpreter instead of the compiled execution plan
+	// (gpusim.Launch.Interpret). Outcomes are bit-identical either way; it
+	// is the reference oracle for tests and benchmarks.
 	Interpret bool
 
 	// Cache, when non-nil, routes Prepare through a shared prepared-target
@@ -328,14 +327,6 @@ type runCost struct {
 	ctasSkipped  int64
 	earlyExit    bool
 	intraResumed bool
-	// fullRunFallback marks a site whose model is not fast-forward sound:
-	// the target had a checkpoint store but this run deliberately ignored
-	// it and re-executed from the pristine image. Every built-in model is
-	// sound since the scheduler-complete snapshot work (DESIGN.md §3.11),
-	// so this is always false today; it survives as the safety valve for
-	// future models and to keep journal `fb` replay of old campaigns
-	// faithful.
-	fullRunFallback bool
 }
 
 // injectOn is the campaign hot path: one unchecked injection experiment on a
@@ -344,7 +335,7 @@ type runCost struct {
 // target has a checkpoint store, from the pristine image otherwise.
 //
 // Fast-forward soundness (details in DESIGN.md §3.2 and, for persistent
-// scheduler faults, §3.11): CTAs execute strictly sequentially and share
+// scheduler faults, §3.8): CTAs execute strictly sequentially and share
 // only global memory, and the simulator is deterministic, so re-executing
 // golden CTAs k..c-1 from the boundary-k snapshot reproduces the full run's
 // state at the injected CTA c exactly. Persistent faults stay covered
@@ -366,16 +357,6 @@ func (t *Target) injectOn(dev *gpusim.Device, site Site, model Model) (Outcome, 
 	}
 	launch := t.launch(inj, nil, t.watchdog)
 	ck, wck := t.ckpt, t.wck
-	if (ck != nil || wck != nil) && !model.FastForwardSound() {
-		// The model corrupts state the fast-forward soundness argument does
-		// not cover: degrade this site to a per-site full run rather than
-		// resume from a snapshot that may not reproduce it. No built-in model
-		// takes this path anymore (DESIGN.md §3.11 extends the proof to the
-		// scheduler-corrupting stuck-at models); it remains as the safety
-		// valve for future models.
-		cost.fullRunFallback = true
-		ck, wck = nil, nil
-	}
 	if ck == nil && wck == nil {
 		dev.ResetFrom(t.Init)
 		res, err := gpusim.Execute(dev, launch)
@@ -418,7 +399,7 @@ func (t *Target) injectOn(dev *gpusim.Device, site Site, model Model) (Outcome, 
 				// A fault bound to a thread of CTA `cta` has always retired
 				// here (the CTA only completes once its threads exit), so
 				// the gate is a mechanical enforcement of that invariant
-				// rather than a reachable branch today (DESIGN.md §3.11).
+				// rather than a reachable branch (DESIGN.md §3.8).
 				return false
 			}
 			if ck.Converged(dev, cta+1) {

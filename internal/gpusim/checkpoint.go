@@ -95,7 +95,7 @@ func (c *Checkpoints) SnapshotIndex(cta int) int {
 // AfterCTA hook's faultLive flag): memory can match golden at the boundary
 // while a stuck lane or barrier ghost still diverges a later CTA, so the
 // early exit is only sound once the fault has retired with its thread
-// (DESIGN.md §3.11).
+// (DESIGN.md §3.8).
 func (c *Checkpoints) Converged(dev *Device, boundary int) bool {
 	dirty := dev.DirtyPages()
 	// Every page that golden changed between the resume checkpoint and this
@@ -181,7 +181,7 @@ func NewCheckpointRecorder(pristine, dev *Device, numCTAs, stride int) *Checkpoi
 // CTAs run strictly sequentially, a CTA retires only when every thread has
 // exited, and threads of a fresh CTA start with an empty ledger (no parked
 // flags, no barrier arrivals, election order fixed by thread order) — so the
-// device clone IS the complete resume point (DESIGN.md §3.11).
+// device clone IS the complete resume point (DESIGN.md §3.8).
 func (r *CheckpointRecorder) AfterCTA(cta int, faultLive bool) bool {
 	b := cta + 1
 	r.buf = r.dev.TakeDirtyPages(r.buf)

@@ -111,7 +111,7 @@ type Launch struct {
 	// Result reflects progress so far. Checkpoint capture and golden-state
 	// convergence checks hook here; the faultLive flag lets convergence
 	// checks refuse to early-exit while a scheduler-corrupting fault could
-	// still diverge a later CTA (DESIGN.md §3.11).
+	// still diverge a later CTA (DESIGN.md §3.8).
 	AfterCTA func(cta int, faultLive bool) bool
 	// IntraRec, when non-nil, records intra-CTA (warp-granular) checkpoints
 	// of this run; set it only on the golden traced run. See
@@ -124,10 +124,11 @@ type Launch struct {
 	// CTA-boundary state with the snapshot's page delta already restored
 	// (see WarpSnapshot.RestorePages).
 	Resume *WarpSnapshot
-	// Interpret disables the compiled execution plan (plan.go) and runs the
-	// launch on the reference interpreter instead. The two paths are
-	// bit-identical by construction (DESIGN.md §3.8); the switch exists as
-	// the differential-testing escape hatch and costs one branch per CTA.
+	// Interpret runs the launch without the compiled execution plan
+	// (plan.go): the same schedulers step every instruction on the reference
+	// interpreter, staying on the careful tier for the whole run. It is the
+	// reference oracle for tests and benchmarks; outcomes are bit-identical
+	// to the compiled path (DESIGN.md §3.8).
 	Interpret bool
 }
 

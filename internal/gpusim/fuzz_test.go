@@ -2,11 +2,13 @@ package gpusim
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/isa"
+	"repro/internal/ptx"
 )
 
 // fuzzProgram generates a structurally valid random program of n
@@ -125,13 +127,14 @@ type diffRunState struct {
 	shared  []byte
 	dev     []byte
 	trap    *Trap
+	trace   [][]uint16 // recorded ProfileTrace; nil on untraced runs
 }
 
 // diffRun executes prog on a fresh single-CTA 4-thread launch, keeping the
 // CTA state alive so final registers and predicates can be compared
-// directly. It mirrors Execute's setup and dispatches through the same
-// scheduler switch.
-func diffRun(t *testing.T, prog *isa.Program, warpSize int, inj *Injection, interpret bool) diffRunState {
+// directly. It mirrors Execute's setup and dispatches to the same
+// scheduler; traced attaches a ProfileTrace, which pins the careful tier.
+func diffRun(t *testing.T, prog *isa.Program, warpSize int, inj *Injection, interpret, traced bool) diffRunState {
 	t.Helper()
 	dev := NewDevice(256)
 	launch := &Launch{
@@ -142,6 +145,11 @@ func diffRun(t *testing.T, prog *isa.Program, warpSize int, inj *Injection, inte
 		WarpSize:  warpSize,
 		Inject:    inj,
 		Interpret: interpret,
+	}
+	var tr *ProfileTrace
+	if traced {
+		tr = NewProfileTrace(launch.Block.Count())
+		launch.Tracer = tr
 	}
 	e := &exec{
 		prog:        prog,
@@ -161,30 +169,84 @@ func diffRun(t *testing.T, prog *isa.Program, warpSize int, inj *Injection, inte
 		cta.threads = append(cta.threads, &threadState{flat: tx, tid: Dim3{X: tx}})
 	}
 	var trap *Trap
-	switch {
-	case warpSize > 0 && e.plan != nil:
-		trap = e.runCTAWarpedCompiled(cta, warpSize)
-	case warpSize > 0:
+	if warpSize > 0 {
 		trap = e.runCTAWarped(cta, warpSize)
-	case e.plan != nil:
-		trap = e.runCTACompiled(cta)
-	default:
+	} else {
 		trap = e.runCTA(cta)
 	}
 	st := diffRunState{shared: cta.shared, dev: dev.Bytes(), trap: trap}
+	if tr != nil {
+		st.trace = tr.PCs
+	}
 	for _, th := range cta.threads {
 		st.threads = append(st.threads, *th)
 	}
 	return st
 }
 
+// diffCheck runs prog on the reference interpreter and the compiled plan
+// and reports the first observable on which they diverge.
+func diffCheck(t *testing.T, prog *isa.Program, warp int, in *Injection, traced bool) bool {
+	t.Helper()
+	ref := diffRun(t, prog, warp, in, true, traced)
+	got := diffRun(t, prog, warp, in, false, traced)
+	if (ref.trap == nil) != (got.trap == nil) ||
+		(ref.trap != nil && *ref.trap != *got.trap) {
+		t.Errorf("warp %d inj %+v traced %v: trap diverges: interpreter %v, compiled %v",
+			warp, in, traced, ref.trap, got.trap)
+		return false
+	}
+	for i := range ref.threads {
+		if ref.threads[i] != got.threads[i] {
+			t.Errorf("warp %d inj %+v traced %v: thread %d state diverges:\ninterpreter %+v\ncompiled    %+v",
+				warp, in, traced, i, ref.threads[i], got.threads[i])
+			return false
+		}
+	}
+	if !bytes.Equal(ref.shared, got.shared) {
+		t.Errorf("warp %d inj %+v traced %v: shared memory diverges", warp, in, traced)
+		return false
+	}
+	if !bytes.Equal(ref.dev, got.dev) {
+		t.Errorf("warp %d inj %+v traced %v: global memory diverges", warp, in, traced)
+		return false
+	}
+	if !reflect.DeepEqual(ref.trace, got.trace) {
+		t.Errorf("warp %d inj %+v traced %v: profile trace diverges:\ninterpreter %v\ncompiled    %v",
+			warp, in, traced, ref.trace, got.trace)
+		return false
+	}
+	return true
+}
+
 // TestCompiledMatchesInterpreterFuzz is the differential property behind the
 // compiled execution plan (DESIGN.md §3.8): for random programs, under both
-// schedulers, with and without an injected fault, the compiled plan and the
-// reference interpreter must agree on every observable — final registers,
-// predicates, offset registers, PCs, dynamic instruction counts, shared and
-// global memory, and the trap (kind, thread, PC and message).
+// schedulers, with and without an injected fault, untraced and traced, the
+// compiled plan and the reference interpreter must agree on every
+// observable — final registers, predicates, offset registers, PCs, dynamic
+// instruction counts, shared and global memory, the trap (kind, thread, PC
+// and message) and the recorded profile trace.
 func TestCompiledMatchesInterpreterFuzz(t *testing.T) {
+	// A named input: a stuck-at-0 active mask freezes thread 1 mid-loop on a
+	// traced serial run. The frozen lane must never step again on either
+	// path, so the CTA deadlocks once the other threads exit.
+	t.Run("frozen-lane-traced", func(t *testing.T) {
+		prog := ptx.MustAssemble("frozen", `
+			mov.u32 $r1, 0x00000000
+			lloop: add.u32 $r1, $r1, 0x00000001
+			set.lt.u32.u32 $p0/$o127, $r1, 0x00000017
+			@$p0.ne bra lloop
+			exit
+		`)
+		inj := &Injection{Thread: 1, DynInst: 5, Bit: 0, Kind: InjectStuckActiveMask}
+		if ref := diffRun(t, prog, 0, inj, true, true); ref.trap == nil ||
+			ref.trap.Kind != TrapDeadlock || ref.threads[1].dynCount != 6 {
+			t.Fatalf("interpreter: trap %v, thread 1 dynCount %d; want deadlock with the lane frozen at 6",
+				ref.trap, ref.threads[1].dynCount)
+		}
+		diffCheck(t, prog, 0, inj, true)
+	})
+
 	f := func(seed uint64, size uint8, injSel uint32) bool {
 		prog := fuzzProgram(t, seed, int(size%40)+1)
 		kinds := []InjectKind{
@@ -200,28 +262,11 @@ func TestCompiledMatchesInterpreterFuzz(t *testing.T) {
 		}
 		for _, warp := range []int{0, 4} {
 			for _, in := range []*Injection{nil, inj} {
-				ref := diffRun(t, prog, warp, in, true)
-				got := diffRun(t, prog, warp, in, false)
-				if (ref.trap == nil) != (got.trap == nil) ||
-					(ref.trap != nil && *ref.trap != *got.trap) {
-					t.Errorf("seed %d warp %d inj %+v: trap diverges: interpreter %v, compiled %v",
-						seed, warp, in, ref.trap, got.trap)
-					return false
-				}
-				for i := range ref.threads {
-					if ref.threads[i] != got.threads[i] {
-						t.Errorf("seed %d warp %d inj %+v: thread %d state diverges:\ninterpreter %+v\ncompiled    %+v",
-							seed, warp, in, i, ref.threads[i], got.threads[i])
+				for _, traced := range []bool{false, true} {
+					if !diffCheck(t, prog, warp, in, traced) {
+						t.Logf("seed %d size %d", seed, size)
 						return false
 					}
-				}
-				if !bytes.Equal(ref.shared, got.shared) {
-					t.Errorf("seed %d warp %d inj %+v: shared memory diverges", seed, warp, in)
-					return false
-				}
-				if !bytes.Equal(ref.dev, got.dev) {
-					t.Errorf("seed %d warp %d inj %+v: global memory diverges", seed, warp, in)
-					return false
 				}
 			}
 		}
@@ -301,8 +346,8 @@ func TestCompiledMatchesInterpreterInvalidCmp(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := tc.prog(t)
 			for _, warp := range []int{0, 4} {
-				ref := diffRun(t, prog, warp, nil, true)
-				got := diffRun(t, prog, warp, nil, false)
+				ref := diffRun(t, prog, warp, nil, true, false)
+				got := diffRun(t, prog, warp, nil, false, false)
 				for _, st := range []struct {
 					mode string
 					s    diffRunState

@@ -57,7 +57,7 @@ func Execute(dev *Device, launch *Launch) (*Result, error) {
 	// armed. Injections in a skipped CTA — or past a mid-CTA snapshot's
 	// already-retired instructions — would silently never fire (or fire
 	// late), so they are rejected here rather than producing a plausible but
-	// wrong outcome (DESIGN.md §3.11).
+	// wrong outcome (DESIGN.md §3.8).
 	if inj := launch.Inject; inj != nil && launch.FirstCTA > 0 {
 		injCTA := inj.Thread / launch.Block.Count()
 		if injCTA < launch.FirstCTA {
@@ -132,14 +132,9 @@ func Execute(dev *Device, launch *Launch) (*Result, error) {
 			e.intra.beginCTA(ctaIndex, cta)
 		}
 		var trap *Trap
-		switch {
-		case launch.WarpSize > 0 && e.plan != nil:
-			trap = e.runCTAWarpedCompiled(cta, launch.WarpSize)
-		case launch.WarpSize > 0:
+		if launch.WarpSize > 0 {
 			trap = e.runCTAWarped(cta, launch.WarpSize)
-		case e.plan != nil:
-			trap = e.runCTACompiled(cta)
-		default:
+		} else {
 			trap = e.runCTA(cta)
 		}
 		for _, th := range cta.threads {
@@ -174,29 +169,62 @@ const (
 	ctaReleased                      // a barrier completed and was released
 )
 
-// runCTA interleaves the CTA's threads at barrier boundaries until all exit.
+// runCTA interleaves the CTA's threads round-robin at barrier boundaries
+// until all exit: each thread runs until it parks, exits, freezes, or traps.
+// Everything steps on the careful tier under Launch.Interpret, a Tracer or
+// an intra-CTA recorder. Otherwise unobserved threads run on the fast tier
+// (runThreadFast), and an injected thread steps carefully until its
+// injection fires, then joins the fast tier — except under a persistent
+// fault, which never retires: the faulty thread then stays careful for the
+// rest of the run so every enforcement point (predicate clamp, barrier
+// blow-through, lane freeze) is observed.
 func (e *exec) runCTA(cta *ctaState) *Trap {
+	careful := e.plan == nil || e.launch.Tracer != nil || e.intra != nil
+	inj := e.launch.Inject
 	for {
 		progress := false
 		for _, th := range cta.threads {
 			if th.done || th.waiting || e.laneFrozen(th) {
 				continue
 			}
-			// Run this thread until it parks, exits, freezes, or traps.
-			for !th.done && !th.waiting && !e.laneFrozen(th) {
-				blocked, trap := e.step(th, cta)
-				if trap != nil {
-					return trap
+			if careful {
+				for !th.done && !th.waiting && !e.laneFrozen(th) {
+					blocked, trap := e.stepCareful(th, cta)
+					if trap != nil {
+						return trap
+					}
+					if e.intra != nil {
+						// Any post-step point is resume-safe in serial mode:
+						// threads earlier in schedule order are parked or done,
+						// so a resumed round re-reaches this thread first.
+						e.intra.step()
+						e.intra.flush()
+					}
+					if blocked {
+						break
+					}
 				}
-				if e.intra != nil {
-					// Any post-step point is resume-safe in serial mode:
-					// threads earlier in schedule order are parked or done,
-					// so a resumed round re-reaches this thread first.
-					e.intra.step()
-					e.intra.flush()
+			} else {
+				if inj != nil && th.flat == inj.Thread {
+					// Careful until the injection fires: the step that starts
+					// with dynCount == DynInst retires dynamic instruction
+					// DynInst and applies the fault. Persistent kinds never
+					// fire-and-retire, so the thread steps carefully forever.
+					blocked := false
+					for !th.done && !blocked && !e.laneFrozen(th) &&
+						(inj.Kind.Persistent() || th.dynCount <= inj.DynInst) {
+						var trap *Trap
+						blocked, trap = e.stepCareful(th, cta)
+						if trap != nil {
+							return trap
+						}
+					}
 				}
-				if blocked {
-					break
+				if !th.done && !th.waiting && !e.laneFrozen(th) &&
+					(inj == nil || th.flat != inj.Thread || !inj.Kind.Persistent()) {
+					if trap := e.runThreadFast(th, cta); trap != nil {
+						return trap
+					}
 				}
 			}
 			progress = true
@@ -217,7 +245,13 @@ func (e *exec) runCTA(cta *ctaState) *Trap {
 // Min-PC selection is a classic reconvergence heuristic: diverged paths
 // serialize, and threads rejoin as soon as they reach the same PC, without
 // an explicit SIMT stack. Per-thread semantics are identical to runCTA.
+// Tiers follow runCTA's rules per warp: an unobserved warp batches
+// straight-line runs across its active lanes (runWarpBatch), while a warp
+// holding a pending injection sweeps carefully until it fires, or for the
+// whole run under a persistent fault.
 func (e *exec) runCTAWarped(cta *ctaState, warpSize int) *Trap {
+	careful := e.plan == nil || e.launch.Tracer != nil || e.intra != nil
+	inj := e.launch.Inject
 	for {
 		progress := false
 		for base := 0; base < len(cta.threads); base += warpSize {
@@ -226,6 +260,15 @@ func (e *exec) runCTAWarped(cta *ctaState, warpSize int) *Trap {
 				end = len(cta.threads)
 			}
 			warp := cta.threads[base:end]
+			var injTh *threadState
+			if inj != nil {
+				for _, th := range warp {
+					if th.flat == inj.Thread {
+						injTh = th
+						break
+					}
+				}
+			}
 			// Drive this warp until its threads all park or exit.
 			for {
 				minPC := -1
@@ -240,11 +283,26 @@ func (e *exec) runCTAWarped(cta *ctaState, warpSize int) *Trap {
 				if minPC < 0 {
 					break
 				}
+				// A persistent fault's warp stays careful until the faulty
+				// thread exits, which ends the fault's reach.
+				if !careful &&
+					(injTh == nil || injTh.done ||
+						(!inj.Kind.Persistent() && injTh.dynCount > inj.DynInst)) &&
+					minPC < len(e.plan.ops) && e.plan.ops[minPC].straight > 0 {
+					stepped, trap := e.runWarpBatch(warp, minPC, cta)
+					if trap != nil {
+						return trap
+					}
+					if stepped {
+						progress = true
+					}
+					continue
+				}
 				for _, th := range warp {
 					if th.done || th.waiting || th.pc != minPC || e.laneFrozen(th) {
 						continue
 					}
-					if _, trap := e.step(th, cta); trap != nil {
+					if _, trap := e.stepCareful(th, cta); trap != nil {
 						return trap
 					}
 					if e.intra != nil {

@@ -8,10 +8,10 @@ import "repro/internal/isa"
 // value for the remainder of the run. The fault state is bound to the
 // injected thread: predicate clamps only touch that thread's registers, a
 // frozen or barrier-stuck lane stops mattering once the thread retires, so
-// the fault's reach ends with the injected thread's CTA. Both execution
-// paths (the reference interpreter and the compiled plan) share every
-// function in this file, which is what keeps them bit-identical under
-// persistent faults (DESIGN.md §3.9).
+// the fault's reach ends with the injected thread's CTA. Both step paths
+// (the reference interpreter and the compiled plan) share every function in
+// this file, which is what keeps them bit-identical under persistent faults
+// (DESIGN.md §3.8).
 
 // persistState is the live state of an armed persistent fault, decoded once
 // from the Injection at launch.
@@ -65,7 +65,7 @@ func newPersistState(inj *Injection) *persistState {
 
 // persistAfterStep enforces an armed persistent fault after one retired
 // dynamic instruction of th, activating it when the step just crossed the
-// activation point. It runs at the end of step and stepCompiled — only the
+// activation point. It runs at the end of step and stepCareful — only the
 // injected thread's own steps write its predicate and barrier state, so a
 // post-step clamp is in force before every later read.
 //
@@ -115,8 +115,8 @@ func (e *exec) persistLive() bool {
 }
 
 // laneFrozen reports whether th is the faulty lane of an activated
-// stuck-at-0 active-mask fault: the lane is never scheduled again. All four
-// scheduler loops consult this alongside done/waiting.
+// stuck-at-0 active-mask fault: the lane is never scheduled again. Both
+// schedulers consult this alongside done/waiting, on every tier.
 func (e *exec) laneFrozen(th *threadState) bool {
 	p := e.persist
 	return p != nil && p.active && p.kind == InjectStuckActiveMask &&
@@ -131,7 +131,7 @@ func (e *exec) laneFrozen(th *threadState) bool {
 // state is stuck at 1 counts as arrived while still running, one stuck at 0
 // parks without its arrival ever registering (the barrier deadlocks), and a
 // frozen lane (active mask stuck at 0) can never arrive at all. Shared by
-// the interpreter and compiled schedulers so traps stay bit-identical.
+// by both schedulers on every tier, so traps stay bit-identical.
 func (e *exec) resolveBarrier(cta *ctaState, progress bool) (barrierStatus, *Trap) {
 	p := e.persist
 	if p != nil && !p.active {

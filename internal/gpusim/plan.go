@@ -4,20 +4,21 @@ package gpusim
 // pre-decoded once, at kernel load, into a specialized Go closure with its
 // guard test, operand resolvers, ALU variant (type/wideness/saturation),
 // branch target and destination routing all chosen at decode time. The
-// dispatch loops (runCTACompiled, runCTAWarpedCompiled) then execute
-// closures directly instead of re-interpreting the instruction encoding on
-// every dynamic step, and batch maximal straight-line runs of sequential
-// instructions (isa.Program.StraightLen) without re-entering the scheduler.
+// schedulers (runCTA, runCTAWarped) then execute closures directly instead
+// of re-interpreting the instruction encoding on every dynamic step, and
+// batch maximal straight-line runs of sequential instructions
+// (isa.Program.StraightLen) without re-entering the scheduler.
 //
 // The plan is an optimization, never a semantic layer: every closure
 // mirrors one path through exec.step/apply/compute line for line, and the
-// careful dispatcher stepCompiled preserves every observable of the
+// careful dispatcher stepCareful preserves every observable of the
 // reference step — dynCount accounting, watchdog traps, injection
 // arm/disarm points, tracer callbacks, predicate flags, and barrier
 // park/release behavior. Equivalence argument: DESIGN.md §3.8. The
 // differential fuzz target (fuzz_test.go) and the exhaustive campaign
-// tests in internal/fault pin the equivalence; Launch.Interpret keeps the
-// reference interpreter reachable for those comparisons.
+// tests in internal/fault pin the equivalence; Launch.Interpret runs the
+// same schedulers on the reference step, which keeps the interpreter as the
+// oracle for those comparisons.
 
 import (
 	"fmt"

@@ -1,30 +1,34 @@
 package gpusim
 
-// The compiled dispatch loops. Two tiers:
+// The compiled execution tiers, driven by the schedulers in launch.go:
 //
-//   - stepCompiled is the careful path: one dynamic instruction with every
+//   - stepCareful is the careful tier: one dynamic instruction with every
 //     observable of exec.step intact (tracer callback, injection arm/disarm
 //     and writeback, watchdog, guard annulment). It is used whenever
 //     something watches the thread — a Tracer, an intra-CTA recorder, or a
-//     not-yet-fired injection.
-//   - runThreadFast/runWarpBatch are the fast paths for unobserved
+//     not-yet-fired injection — and for the whole run when Launch.Interpret
+//     left the launch without a plan.
+//   - runThreadFast/runWarpBatch are the fast tiers for unobserved
 //     execution: they dispatch straight-line runs of pre-decoded closures
 //     without re-entering the scheduler, keeping only the per-instruction
 //     dynCount/watchdog/guard work the architectural semantics require.
 //
-// The fast paths are taken exactly when Tracer == nil, intra == nil, and no
-// injection is pending on the thread/warp, so e.addrFlipBit is always -1
-// there and all injection arm/disarm points live in stepCompiled, in the
-// same positions as the reference step. A *persistent* injection
-// (InjectKind.Persistent) never stops being pending: its thread (and warp)
-// stay on the careful path for the remainder of the run, until the faulty
-// thread exits and the fault dies with it. Scheduling order (serial
-// round-robin at barrier boundaries; warped min-PC sweeps) is identical to
-// runCTA/runCTAWarped by construction — see DESIGN.md §3.8.
+// The fast tiers are taken exactly when a plan exists, Tracer == nil,
+// intra == nil, and no injection is pending on the thread/warp, so
+// e.addrFlipBit is always -1 there and all injection arm/disarm points live
+// on the careful tier, in the same positions as the reference step. A
+// *persistent* injection (InjectKind.Persistent) never stops being pending:
+// its thread (and warp) stay on the careful tier for the remainder of the
+// run, until the faulty thread exits and the fault dies with it. See
+// DESIGN.md §3.8.
 
-// stepCompiled executes one dynamic instruction via the plan, mirroring
-// exec.step observable for observable.
-func (e *exec) stepCompiled(th *threadState, cta *ctaState) (blocked bool, trap *Trap) {
+// stepCareful executes one dynamic instruction via the plan, mirroring
+// exec.step observable for observable. Without a plan (Launch.Interpret) it
+// is exec.step itself.
+func (e *exec) stepCareful(th *threadState, cta *ctaState) (blocked bool, trap *Trap) {
+	if e.plan == nil {
+		return e.step(th, cta)
+	}
 	ops := e.plan.ops
 	if th.pc < 0 || th.pc >= len(ops) {
 		// Falling off the end retires the thread, like an implicit exit.
@@ -171,73 +175,6 @@ func (e *exec) runThreadFast(th *threadState, cta *ctaState) *Trap {
 	}
 }
 
-// runCTACompiled is the compiled counterpart of runCTA: identical
-// round-robin scheduling at barrier boundaries, with unobserved threads
-// driven by runThreadFast. An injected thread steps carefully until its
-// injection fires, then joins the fast path — except under a persistent
-// fault, which never retires: the faulty thread then stays on the careful
-// path for the remainder of the run so every enforcement point (predicate
-// clamp, barrier blow-through, lane freeze) is observed.
-func (e *exec) runCTACompiled(cta *ctaState) *Trap {
-	instrumented := e.launch.Tracer != nil || e.intra != nil
-	inj := e.launch.Inject
-	for {
-		progress := false
-		for _, th := range cta.threads {
-			if th.done || th.waiting || e.laneFrozen(th) {
-				continue
-			}
-			if instrumented {
-				for !th.done && !th.waiting {
-					blocked, trap := e.stepCompiled(th, cta)
-					if trap != nil {
-						return trap
-					}
-					if e.intra != nil {
-						// Same resume-safe points as runCTA: any post-step
-						// boundary in serial mode.
-						e.intra.step()
-						e.intra.flush()
-					}
-					if blocked {
-						break
-					}
-				}
-			} else {
-				if inj != nil && th.flat == inj.Thread {
-					// Careful until the injection fires: the step that starts
-					// with dynCount == DynInst retires dynamic instruction
-					// DynInst and applies the fault. Persistent kinds never
-					// fire-and-retire, so the thread steps carefully forever.
-					blocked := false
-					for !th.done && !blocked && !e.laneFrozen(th) &&
-						(inj.Kind.Persistent() || th.dynCount <= inj.DynInst) {
-						var trap *Trap
-						blocked, trap = e.stepCompiled(th, cta)
-						if trap != nil {
-							return trap
-						}
-					}
-				}
-				if !th.done && !th.waiting && !e.laneFrozen(th) &&
-					(inj == nil || th.flat != inj.Thread || !inj.Kind.Persistent()) {
-					if trap := e.runThreadFast(th, cta); trap != nil {
-						return trap
-					}
-				}
-			}
-			progress = true
-		}
-		status, trap := e.resolveBarrier(cta, progress)
-		if trap != nil {
-			return trap
-		}
-		if status == ctaFinished {
-			return nil
-		}
-	}
-}
-
 // runWarpBatch executes a straight-line run for the warp's min-PC lanes:
 // the active set is every eligible lane at minPC, and the run extends to
 // the earlier of the straight-run end and the lowest PC of any other
@@ -284,90 +221,4 @@ func (e *exec) runWarpBatch(warp []*threadState, minPC int, cta *ctaState) (bool
 		}
 	}
 	return len(active) > 0, nil
-}
-
-// runCTAWarpedCompiled is the compiled counterpart of runCTAWarped:
-// identical min-PC lockstep scheduling, with unobserved warps batching
-// straight-line runs across all active lanes. Warps containing a pending
-// injection step carefully until it fires.
-func (e *exec) runCTAWarpedCompiled(cta *ctaState, warpSize int) *Trap {
-	instrumented := e.launch.Tracer != nil || e.intra != nil
-	inj := e.launch.Inject
-	nInstr := len(e.plan.ops)
-	for {
-		progress := false
-		for base := 0; base < len(cta.threads); base += warpSize {
-			end := base + warpSize
-			if end > len(cta.threads) {
-				end = len(cta.threads)
-			}
-			warp := cta.threads[base:end]
-			var injTh *threadState
-			if inj != nil {
-				for _, th := range warp {
-					if th.flat == inj.Thread {
-						injTh = th
-						break
-					}
-				}
-			}
-			// Drive this warp until its threads all park or exit.
-			for {
-				minPC := -1
-				for _, th := range warp {
-					if th.done || th.waiting || e.laneFrozen(th) {
-						continue
-					}
-					if minPC < 0 || th.pc < minPC {
-						minPC = th.pc
-					}
-				}
-				if minPC < 0 {
-					break
-				}
-				// A warp holding a pending transient injection steps
-				// carefully until it fires; a persistent one never retires,
-				// so that warp stays careful for the whole run (unless the
-				// faulty thread already exited, which ends the fault's reach).
-				if !instrumented &&
-					(injTh == nil || injTh.done ||
-						(!inj.Kind.Persistent() && injTh.dynCount > inj.DynInst)) &&
-					minPC < nInstr && e.plan.ops[minPC].straight > 0 {
-					stepped, trap := e.runWarpBatch(warp, minPC, cta)
-					if trap != nil {
-						return trap
-					}
-					if stepped {
-						progress = true
-					}
-					continue
-				}
-				// Careful sweep, identical to the reference loop.
-				for _, th := range warp {
-					if th.done || th.waiting || th.pc != minPC || e.laneFrozen(th) {
-						continue
-					}
-					if _, trap := e.stepCompiled(th, cta); trap != nil {
-						return trap
-					}
-					if e.intra != nil {
-						e.intra.step()
-					}
-					progress = true
-				}
-				if e.intra != nil {
-					// Same resume-safe points as runCTAWarped: min-PC sweep
-					// boundaries only.
-					e.intra.flush()
-				}
-			}
-		}
-		status, trap := e.resolveBarrier(cta, progress)
-		if trap != nil {
-			return trap
-		}
-		if status == ctaFinished {
-			return nil
-		}
-	}
 }

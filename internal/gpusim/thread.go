@@ -48,8 +48,8 @@ type exec struct {
 	// persist is the armed persistent (stuck-at) fault, decoded from
 	// Launch.Inject; nil for transient or absent injections. See persist.go.
 	persist *persistState
-	// plan is the compiled execution plan; nil when Launch.Interpret
-	// selected the reference interpreter.
+	// plan is the compiled execution plan; nil when Launch.Interpret keeps
+	// the schedulers on the reference step (careful tier only).
 	plan *execPlan
 	// warpActive is runWarpBatch's reused active-lane scratch.
 	warpActive []*threadState

@@ -55,7 +55,7 @@ const defaultIntraBudgetBytes = 256 << 20
 //
 // "Complete" includes the scheduler and synchronization ledger, which is
 // what makes resuming sound under scheduler-corrupting persistent faults
-// (DESIGN.md §3.11): threads holds full threadState copies — parked flags
+// (DESIGN.md §3.8): threads holds full threadState copies — parked flags
 // (waiting), barrier-arrival ids (barID), exit flags (done), and per-thread
 // retirement counts (dynCount) — in CTA-local thread order, which is also
 // the schedulers' fixed election order; shared is the CTA's shared memory;

@@ -254,7 +254,7 @@ func TestExecuteResumeValidation(t *testing.T) {
 }
 
 // TestWarpSnapshotCapturesSchedulerLedger: intra-CTA snapshots are
-// scheduler-complete (DESIGN.md §3.11). On a kernel that parks threads at a
+// scheduler-complete (DESIGN.md §3.8). On a kernel that parks threads at a
 // non-zero barrier id while others have already exited, some capture must
 // witness a parked thread with its barrier id and an exited thread — and
 // resuming from every snapshot must still reproduce the golden run

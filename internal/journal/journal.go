@@ -141,9 +141,6 @@ type Record struct {
 	CTAsSkipped  int64 `json:"cs,omitempty"`
 	EarlyExit    bool  `json:"ee,omitempty"`
 	IntraResumed bool  `json:"ir,omitempty"`
-	// FullRunFallback marks a run that bypassed the checkpoint store because
-	// its fault model is not fast-forward sound.
-	FullRunFallback bool `json:"fb,omitempty"`
 	// Attempts is how many executions the outcome took (>1 after retries).
 	Attempts int `json:"a,omitempty"`
 	// Err is the recorded engine error of a quarantined site.

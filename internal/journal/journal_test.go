@@ -388,32 +388,6 @@ func TestMergeModelMismatch(t *testing.T) {
 	}
 }
 
-// TestRecordFallbackRoundTrip: the full-run-fallback flag survives the
-// journal encoding (including its omitempty default).
-func TestRecordFallbackRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "c.journal")
-	j, err := Open(path, testFP())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := rec(0), rec(1)
-	a.FullRunFallback = true
-	if err := j.Append(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(b); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	_, recs, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || !recs[0].FullRunFallback || recs[1].FullRunFallback {
-		t.Fatalf("records after reopen: %+v", recs)
-	}
-}
-
 // TestFingerprintDiff: Diff names exactly the differing fields with
 // expected-vs-got values, and is empty for equal fingerprints.
 func TestFingerprintDiff(t *testing.T) {

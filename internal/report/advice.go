@@ -26,7 +26,7 @@ type Advice struct {
 	// detects transient corruption of an instruction's destination value,
 	// so the frontier is meaningful for the dest-* and lane-correlated
 	// models but only indicative for address faults and persistent
-	// stuck-at state (see DESIGN.md §3.10).
+	// stuck-at state (see DESIGN.md §3.9).
 	DMRSound bool `json:"dmr_sound"`
 	// Profile is the campaign's overall outcome distribution.
 	Profile Profile `json:"profile"`

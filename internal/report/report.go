@@ -147,19 +147,16 @@ func NewKernelProfile(name string, prof *trace.Profile) KernelProfile {
 
 // Campaign is the JSON summary of a campaign's execution stats.
 type Campaign struct {
-	Runs           int64   `json:"runs"`
-	WallMS         float64 `json:"wall_ms"`
-	RunsPerSec     float64 `json:"runs_per_sec"`
-	PagesCopied    int64   `json:"pages_copied"`
-	DevicesCreated int     `json:"devices_created"`
-	CTAsSkipped    int64   `json:"ctas_skipped,omitempty"`
-	EarlyExits     int64   `json:"early_exits,omitempty"`
-	IntraSkips     int64   `json:"intra_skips,omitempty"`
-	// FullRunFallbacks counts runs degraded to a full re-execution because
-	// their fault model is not fast-forward sound.
-	FullRunFallbacks int64 `json:"full_run_fallbacks,omitempty"`
-	Checkpoints      int   `json:"checkpoints,omitempty"`
-	CheckpointBytes  int64 `json:"checkpoint_bytes,omitempty"`
+	Runs            int64   `json:"runs"`
+	WallMS          float64 `json:"wall_ms"`
+	RunsPerSec      float64 `json:"runs_per_sec"`
+	PagesCopied     int64   `json:"pages_copied"`
+	DevicesCreated  int     `json:"devices_created"`
+	CTAsSkipped     int64   `json:"ctas_skipped,omitempty"`
+	EarlyExits      int64   `json:"early_exits,omitempty"`
+	IntraSkips      int64   `json:"intra_skips,omitempty"`
+	Checkpoints     int     `json:"checkpoints,omitempty"`
+	CheckpointBytes int64   `json:"checkpoint_bytes,omitempty"`
 	// IntraCheckpointBytes is the memory retained by the intra-CTA
 	// (warp-granular) snapshot store.
 	IntraCheckpointBytes int64 `json:"intra_checkpoint_bytes,omitempty"`
@@ -183,7 +180,6 @@ func NewCampaign(s fault.CampaignStats) Campaign {
 		CTAsSkipped:          s.CTAsSkipped,
 		EarlyExits:           s.EarlyExits,
 		IntraSkips:           s.IntraSkips,
-		FullRunFallbacks:     s.FullRunFallbacks,
 		Checkpoints:          s.Checkpoints,
 		CheckpointBytes:      s.CheckpointBytes,
 		IntraCheckpointBytes: s.IntraCheckpointBytes,
@@ -241,9 +237,6 @@ func NewMerged(fp journal.Fingerprint, recs []journal.Record) (Merged, error) {
 		}
 		if r.IntraResumed {
 			stats.IntraSkips++
-		}
-		if r.FullRunFallback {
-			stats.FullRunFallbacks++
 		}
 		if r.Attempts > 1 {
 			stats.Retries += int64(r.Attempts - 1)

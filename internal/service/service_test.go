@@ -437,9 +437,9 @@ func TestSubmitValidation(t *testing.T) {
 // TestStuckModelCampaign runs a persistent-fault campaign through the
 // service: the model is part of the campaign identity (no dedup against the
 // dest-value twin), the final report is byte-identical to the standalone
-// engine reference with zero full-run fallbacks (scheduler-corrupting
-// models ride the fast-forward engine since DESIGN.md §3.11, so the
-// omitempty field stays out of the JSON), and a restarted daemon recovers
+// engine reference, the scheduler-corrupting model rides the fast-forward
+// engine (DESIGN.md §3.8) with no fallback counter in the JSON, and a
+// restarted daemon recovers
 // the journal back into a submission under the same model.
 func TestStuckModelCampaign(t *testing.T) {
 	dir := t.TempDir()
@@ -482,11 +482,8 @@ func TestStuckModelCampaign(t *testing.T) {
 	if doc.Model != "stuck-active-mask" {
 		t.Errorf("report model = %q", doc.Model)
 	}
-	if doc.Campaign.FullRunFallbacks != 0 {
-		t.Errorf("report fallbacks = %d, want 0", doc.Campaign.FullRunFallbacks)
-	}
 	if bytes.Contains(got, []byte("full_run_fallbacks")) {
-		t.Errorf("zero fallbacks still serialized in report JSON: %s", got)
+		t.Errorf("fallback counter serialized in report JSON: %s", got)
 	}
 	if doc.Campaign.CTAsSkipped == 0 {
 		t.Errorf("stuck-model campaign never fast-forwarded: %s", got)
