@@ -475,15 +475,25 @@ func BenchmarkSiteDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkProfile measures a full fault-free profiling run with tracing.
-func BenchmarkProfile(b *testing.B) {
+// BenchmarkProfile measures a full fault-free profiling run with tracing
+// on the serial scheduler: the golden run, profile trace, checkpoint and
+// intra-CTA snapshot capture, and the profile build.
+func BenchmarkProfile(b *testing.B) { benchProfile(b, 0) }
+
+// BenchmarkProfileWarp is BenchmarkProfile on the lockstep scheduler
+// (32-wide warps), whose fast tier batches straight runs across lanes.
+func BenchmarkProfileWarp(b *testing.B) { benchProfile(b, 32) }
+
+func benchProfile(b *testing.B, warp int) {
 	spec, _ := kernels.ByName("PathFinder K1")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		inst, err := spec.Build(kernels.ScaleSmall)
 		if err != nil {
 			b.Fatal(err)
 		}
+		inst.Target.WarpSize = warp
 		if err := inst.Target.Prepare(); err != nil {
 			b.Fatal(err)
 		}

@@ -28,6 +28,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"time"
 
 	"repro/internal/interrupts"
 	"repro/internal/service"
@@ -62,7 +63,7 @@ func main() {
 	fmt.Printf("fsserve listening on %s (data %s)\n", ln.Addr(), *data)
 
 	srv.Start()
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler(), readHeaderTimeout, idleTimeout)
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 
@@ -79,6 +80,20 @@ func main() {
 	fmt.Println("fsserve shutting down")
 	_ = hs.Close()
 	srv.Stop()
+}
+
+// Connection timeouts: a client that trickles its request headers, or
+// parks an idle keep-alive connection, is disconnected instead of holding
+// a socket and a goroutine indefinitely. The service handler bounds what a
+// request may ask for (submission body size, service.MaxSites).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service handler in the daemon's HTTP server.
+func newHTTPServer(h http.Handler, readHeader, idle time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeader, IdleTimeout: idle}
 }
 
 func fatal(err error) {

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"os/exec"
 	"path/filepath"
@@ -242,4 +244,58 @@ func referenceReport(t *testing.T, dir string) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestServerTimeouts drives the daemon's HTTP server over raw connections:
+// a client that never finishes its request headers, and one that parks a
+// keep-alive connection after a request, must both be disconnected once
+// the respective timeout passes.
+func TestServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNoContent)
+	}), 200*time.Millisecond, 300*time.Millisecond)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = hs.Serve(ln) }()
+	defer hs.Close()
+
+	// dropped asserts the server closes c well before the 5 s guard.
+	dropped := func(name string, c *bufio.Reader, conn net.Conn) {
+		t.Helper()
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.ReadAll(c); err != nil {
+			t.Errorf("%s: connection still open after the timeout: %v", name, err)
+		}
+	}
+
+	slow, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	if _, err := io.WriteString(slow, "GET /healthz HTTP/1.1\r\nHost: fsserve\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	dropped("unfinished headers", bufio.NewReader(slow), slow)
+
+	idle, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	if _, err := io.WriteString(idle, "GET /healthz HTTP/1.1\r\nHost: fsserve\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(idle)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("request on the idle connection: HTTP %d", resp.StatusCode)
+	}
+	dropped("idle keep-alive", br, idle)
 }

@@ -94,7 +94,7 @@ type Target struct {
 const DefaultWatchdogFactor = 8
 
 // launch builds a Launch for one run of the target.
-func (t *Target) launch(inj *gpusim.Injection, tracer gpusim.Tracer, watchdog int64) *gpusim.Launch {
+func (t *Target) launch(inj *gpusim.Injection, tracer *gpusim.ProfileTrace, watchdog int64) *gpusim.Launch {
 	return &gpusim.Launch{
 		Prog:        t.Prog,
 		Grid:        t.Grid,

@@ -51,6 +51,6 @@ func (a *arena) release() {
 	if r := a.e.intra; r != nil {
 		r.cur = nil
 	}
-	a.e = exec{warpActive: a.e.warpActive[:0]}
+	a.e = exec{warpActive: a.e.warpActive[:0], traceBuf: a.e.traceBuf}
 	arenaPool.Put(a)
 }

@@ -20,9 +20,9 @@
 // run's at the same boundary.
 //
 // Execution entry points: Execute runs a Launch to completion (or trap),
-// optionally injecting one fault (Injection) and tracing every retired
-// instruction (Tracer); ProfileTrace captures the per-thread dynamic PC
-// streams the pruning methodology consumes.
+// optionally injecting one fault (Injection) and recording every retired
+// instruction into a ProfileTrace (Launch.Tracer), the per-thread dynamic
+// PC streams the pruning methodology consumes.
 package gpusim
 
 import (
@@ -86,8 +86,9 @@ type Launch struct {
 	// Inject, when non-nil, flips one destination-register bit at one
 	// dynamic instruction of one thread.
 	Inject *Injection
-	// Tracer, when non-nil, observes every dynamic instruction.
-	Tracer Tracer
+	// Tracer, when non-nil, records every retired dynamic instruction into
+	// a profile trace sized for the whole grid (NewProfileTrace).
+	Tracer *ProfileTrace
 	// WarpSize selects the intra-CTA scheduling model: 0 runs threads
 	// serially to barrier boundaries (fast, the default); a positive value
 	// executes threads in SIMT lockstep warps of that width with min-PC
@@ -216,16 +217,6 @@ type Injection struct {
 	DynInst int64      // dynamic instruction index within the thread
 	Bit     int        // bit position (register or effective address)
 	Kind    InjectKind // fault model
-}
-
-// Tracer observes retired dynamic instructions during a run. Implementations
-// must be cheap: the profiler records one entry per dynamic instruction.
-type Tracer interface {
-	// Record is called for every retired dynamic instruction: thread is the
-	// flat global thread id, pc the static instruction index, and wrote
-	// whether the instruction wrote a live destination register (and is
-	// therefore a fault site).
-	Record(thread, pc int, wrote bool)
 }
 
 // TrapKind classifies abnormal terminations.

@@ -184,7 +184,7 @@ func (e *exec) step(th *threadState, cta *ctaState) (blocked bool, trap *Trap) {
 		_, _, hasDest := in.DestReg()
 		wrote = executed && hasDest
 		if e.launch.Tracer != nil {
-			e.launch.Tracer.Record(th.flat, th.pc, wrote)
+			e.record(th, wrote)
 		}
 	}
 	if injHere && executed && inj.Kind == InjectMemAddr {

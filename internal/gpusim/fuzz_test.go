@@ -133,7 +133,7 @@ type diffRunState struct {
 // diffRun executes prog on a fresh single-CTA 4-thread launch, keeping the
 // CTA state alive so final registers and predicates can be compared
 // directly. It mirrors Execute's setup and dispatches to the same
-// scheduler; traced attaches a ProfileTrace, which pins the careful tier.
+// scheduler; traced attaches a ProfileTrace, which both tiers record into.
 func diffRun(t *testing.T, prog *isa.Program, warpSize int, inj *Injection, interpret, traced bool) diffRunState {
 	t.Helper()
 	dev := NewDevice(256)

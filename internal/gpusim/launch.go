@@ -3,6 +3,7 @@ package gpusim
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Execute runs a kernel launch to completion on the device.
@@ -40,6 +41,9 @@ func Execute(dev *Device, launch *Launch) (*Result, error) {
 	nCTA := launch.Grid.Count()
 	if launch.FirstCTA < 0 || launch.FirstCTA >= nCTA {
 		return nil, fmt.Errorf("gpusim: FirstCTA %d outside grid of %d CTAs", launch.FirstCTA, nCTA)
+	}
+	if tr := launch.Tracer; tr != nil && len(tr.PCs) < nCTA*launch.Block.Count() {
+		return nil, fmt.Errorf("gpusim: Tracer holds %d threads, launch has %d", len(tr.PCs), nCTA*launch.Block.Count())
 	}
 	if ws := launch.Resume; ws != nil {
 		if ws.cta != launch.FirstCTA {
@@ -86,6 +90,7 @@ func Execute(dev *Device, launch *Launch) (*Result, error) {
 		intra:       launch.IntraRec,
 		addrFlipBit: -1,
 		warpActive:  a.e.warpActive,
+		traceBuf:    a.e.traceBuf,
 	}
 	e := &a.e
 	if !launch.Interpret {
@@ -171,15 +176,18 @@ const (
 
 // runCTA interleaves the CTA's threads round-robin at barrier boundaries
 // until all exit: each thread runs until it parks, exits, freezes, or traps.
-// Everything steps on the careful tier under Launch.Interpret, a Tracer or
-// an intra-CTA recorder. Otherwise unobserved threads run on the fast tier
-// (runThreadFast), and an injected thread steps carefully until its
-// injection fires, then joins the fast tier — except under a persistent
-// fault, which never retires: the faulty thread then stays careful for the
-// rest of the run so every enforcement point (predicate clamp, barrier
-// blow-through, lane freeze) is observed.
+// With a plan, threads run on the fast tier (runThreadFast), which also
+// records the profile trace and pauses for intra-CTA captures. The careful
+// tier (stepCareful) is taken only where an injection is pending: an
+// injected thread steps carefully until its injection fires, then joins the
+// fast tier — except under a persistent fault, which never retires: the
+// faulty thread then stays careful for the rest of the run so every
+// enforcement point (predicate clamp, barrier blow-through, lane freeze) is
+// observed. Launch.Interpret leaves no plan, and every step is careful.
 func (e *exec) runCTA(cta *ctaState) *Trap {
-	careful := e.plan == nil || e.launch.Tracer != nil || e.intra != nil
+	e.openTrace(cta)
+	defer e.closeTrace(cta)
+	careful := e.plan == nil
 	inj := e.launch.Inject
 	for {
 		progress := false
@@ -187,44 +195,29 @@ func (e *exec) runCTA(cta *ctaState) *Trap {
 			if th.done || th.waiting || e.laneFrozen(th) {
 				continue
 			}
-			if careful {
-				for !th.done && !th.waiting && !e.laneFrozen(th) {
-					blocked, trap := e.stepCareful(th, cta)
-					if trap != nil {
+			injected := inj != nil && th.flat == inj.Thread
+			pinned := injected && inj.Kind.Persistent()
+			if careful || injected {
+				// Careful until the injection fires: the step that starts
+				// with dynCount == DynInst retires dynamic instruction
+				// DynInst and applies the fault. Persistent kinds never
+				// fire-and-retire, so the thread steps carefully forever.
+				for !th.done && !th.waiting && !e.laneFrozen(th) &&
+					(careful || pinned || th.dynCount <= inj.DynInst) {
+					if _, trap := e.stepCareful(th, cta); trap != nil {
 						return trap
 					}
 					if e.intra != nil {
 						// Any post-step point is resume-safe in serial mode:
 						// threads earlier in schedule order are parked or done,
 						// so a resumed round re-reaches this thread first.
-						e.intra.step()
-						e.intra.flush()
-					}
-					if blocked {
-						break
+						e.intra.advance(1)
 					}
 				}
-			} else {
-				if inj != nil && th.flat == inj.Thread {
-					// Careful until the injection fires: the step that starts
-					// with dynCount == DynInst retires dynamic instruction
-					// DynInst and applies the fault. Persistent kinds never
-					// fire-and-retire, so the thread steps carefully forever.
-					blocked := false
-					for !th.done && !blocked && !e.laneFrozen(th) &&
-						(inj.Kind.Persistent() || th.dynCount <= inj.DynInst) {
-						var trap *Trap
-						blocked, trap = e.stepCareful(th, cta)
-						if trap != nil {
-							return trap
-						}
-					}
-				}
-				if !th.done && !th.waiting && !e.laneFrozen(th) &&
-					(inj == nil || th.flat != inj.Thread || !inj.Kind.Persistent()) {
-					if trap := e.runThreadFast(th, cta); trap != nil {
-						return trap
-					}
+			}
+			if !careful && !pinned && !th.done && !th.waiting && !e.laneFrozen(th) {
+				if trap := e.runThreadFast(th, cta); trap != nil {
+					return trap
 				}
 			}
 			progress = true
@@ -245,12 +238,15 @@ func (e *exec) runCTA(cta *ctaState) *Trap {
 // Min-PC selection is a classic reconvergence heuristic: diverged paths
 // serialize, and threads rejoin as soon as they reach the same PC, without
 // an explicit SIMT stack. Per-thread semantics are identical to runCTA.
-// Tiers follow runCTA's rules per warp: an unobserved warp batches
-// straight-line runs across its active lanes (runWarpBatch), while a warp
-// holding a pending injection sweeps carefully until it fires, or for the
-// whole run under a persistent fault.
+// Tiers follow runCTA's rules per warp: a warp batches straight-line runs
+// across its active lanes (runWarpBatch), while control instructions, a
+// warp holding a pending injection (until it fires, or for the whole run
+// under a persistent fault) and every step under Launch.Interpret take the
+// careful min-PC sweep.
 func (e *exec) runCTAWarped(cta *ctaState, warpSize int) *Trap {
-	careful := e.plan == nil || e.launch.Tracer != nil || e.intra != nil
+	e.openTrace(cta)
+	defer e.closeTrace(cta)
+	careful := e.plan == nil
 	inj := e.launch.Inject
 	for {
 		progress := false
@@ -298,6 +294,7 @@ func (e *exec) runCTAWarped(cta *ctaState, warpSize int) *Trap {
 					}
 					continue
 				}
+				var swept int64
 				for _, th := range warp {
 					if th.done || th.waiting || th.pc != minPC || e.laneFrozen(th) {
 						continue
@@ -305,16 +302,16 @@ func (e *exec) runCTAWarped(cta *ctaState, warpSize int) *Trap {
 					if _, trap := e.stepCareful(th, cta); trap != nil {
 						return trap
 					}
-					if e.intra != nil {
-						e.intra.step()
-					}
+					swept++
+				}
+				if swept > 0 {
 					progress = true
 				}
 				if e.intra != nil {
 					// Capture only at min-PC sweep boundaries: the drive
 					// loop recomputes the minimum PC from scratch here, so
 					// a resumed warp replays exactly this continuation.
-					e.intra.flush()
+					e.intra.advance(swept)
 				}
 			}
 		}
@@ -328,8 +325,8 @@ func (e *exec) runCTAWarped(cta *ctaState, warpSize int) *Trap {
 	}
 }
 
-// ProfileTrace is the Tracer used for fault-free profiling runs: it records
-// the static PC sequence of every thread, with the high bit of each entry
+// ProfileTrace records a fault-free profiling run (Launch.Tracer): the
+// static PC sequence of every thread, with the high bit of each entry
 // marking instructions that wrote a live destination register (fault sites).
 // Programs are limited to 32767 static instructions, far beyond any kernel
 // in this repository.
@@ -346,13 +343,65 @@ func NewProfileTrace(nThreads int) *ProfileTrace {
 	return &ProfileTrace{PCs: make([][]uint16, nThreads)}
 }
 
-// Record implements Tracer.
-func (p *ProfileTrace) Record(thread, pc int, wrote bool) {
-	v := uint16(pc)
+// Both tiers record a traced CTA into per-thread scratch (exec.traceBuf,
+// pooled with the arena) rather than into ProfileTrace.PCs, so a thread's
+// entries are not regrown by append doubling; closeTrace then copies the
+// CTA's entries into one exact-size block. An entry is recorded after the
+// watchdog check and guard evaluation and before the operation runs:
+// annulled instructions without WroteBit, executed ones with it when they
+// have a destination, and an operation that traps keeps its entry while a
+// watchdog or guard trap records nothing.
+
+// openTrace readies the trace scratch for a CTA about to run.
+func (e *exec) openTrace(cta *ctaState) {
+	if e.launch.Tracer == nil || len(cta.threads) == 0 {
+		return
+	}
+	e.traceBase = cta.threads[0].flat
+	e.traceBuf = slices.Grow(e.traceBuf[:0], len(cta.threads))[:len(cta.threads)]
+	for i := range e.traceBuf {
+		e.traceBuf[i] = e.traceBuf[i][:0]
+	}
+}
+
+// closeTrace appends the CTA's recorded entries to the ProfileTrace, cut
+// from one allocation per CTA. It runs however the CTA ended, so a trapped
+// run keeps the entries recorded up to the trap.
+func (e *exec) closeTrace(cta *ctaState) {
+	tr := e.launch.Tracer
+	if tr == nil || len(cta.threads) == 0 {
+		return
+	}
+	total := 0
+	for _, b := range e.traceBuf {
+		total += len(b)
+	}
+	block := make([]uint16, total)
+	for i, b := range e.traceBuf {
+		if len(b) == 0 {
+			continue
+		}
+		seg := block[:len(b):len(b)]
+		block = block[len(b):]
+		copy(seg, b)
+		t := e.traceBase + i
+		if tr.PCs[t] == nil {
+			tr.PCs[t] = seg
+		} else {
+			tr.PCs[t] = append(tr.PCs[t], seg...)
+		}
+	}
+}
+
+// record appends th's entry for the instruction at th.pc to the trace
+// scratch (careful tier; the fast tiers append whole straight runs).
+func (e *exec) record(th *threadState, wrote bool) {
+	v := uint16(th.pc)
 	if wrote {
 		v |= WroteBit
 	}
-	p.PCs[thread] = append(p.PCs[thread], v)
+	i := th.flat - e.traceBase
+	e.traceBuf[i] = append(e.traceBuf[i], v)
 }
 
 // PC decodes a trace entry into the static PC.

@@ -13,7 +13,7 @@ package gpusim
 // mirrors one path through exec.step/apply/compute line for line, and the
 // careful dispatcher stepCareful preserves every observable of the
 // reference step — dynCount accounting, watchdog traps, injection
-// arm/disarm points, tracer callbacks, predicate flags, and barrier
+// arm/disarm points, profile-trace entries, predicate flags, and barrier
 // park/release behavior. Equivalence argument: DESIGN.md §3.8. The
 // differential fuzz target (fuzz_test.go) and the exhaustive campaign
 // tests in internal/fault pin the equivalence; Launch.Interpret runs the
@@ -72,6 +72,10 @@ type compiledOp struct {
 type execPlan struct {
 	prog *isa.Program
 	ops  []compiledOp
+	// entries[pc] is the profile-trace entry of an executed instruction at
+	// pc (WroteBit set when it has a destination); the fast tiers append a
+	// straight run's entries in one copy.
+	entries []uint16
 }
 
 // planCache shares compiled plans across launches of the same program.
@@ -111,10 +115,14 @@ func planFor(p *isa.Program) *execPlan {
 
 // compileProgram decodes every instruction of p into its closure form.
 func compileProgram(p *isa.Program) *execPlan {
-	pl := &execPlan{prog: p, ops: make([]compiledOp, len(p.Instrs))}
+	pl := &execPlan{prog: p, ops: make([]compiledOp, len(p.Instrs)), entries: make([]uint16, len(p.Instrs))}
 	for pc := range p.Instrs {
 		compileInstr(p, pc, &pl.ops[pc])
 		pl.ops[pc].straight = int32(p.StraightLen(pc))
+		pl.entries[pc] = uint16(pc)
+		if pl.ops[pc].hasDest {
+			pl.entries[pc] |= WroteBit
+		}
 	}
 	return pl
 }

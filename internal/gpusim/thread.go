@@ -53,6 +53,11 @@ type exec struct {
 	plan *execPlan
 	// warpActive is runWarpBatch's reused active-lane scratch.
 	warpActive []*threadState
+	// traceBuf[i] collects the profile-trace entries of the running CTA's
+	// thread traceBase+i until closeTrace; reused across CTAs and, through
+	// the arena, across launches.
+	traceBuf  [][]uint16
+	traceBase int
 }
 
 // readReg returns the raw 32-bit value of a register for thread th.

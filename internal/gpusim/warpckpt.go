@@ -213,7 +213,6 @@ type WarpCheckpointRecorder struct {
 	curStride   int64
 	retired     int64
 	nextCapture int64
-	pending     bool
 }
 
 // NewWarpCheckpointRecorder prepares intra-CTA recording for a numCTAs-CTA
@@ -247,29 +246,26 @@ func (r *WarpCheckpointRecorder) beginCTA(cta int, st *ctaState) {
 	r.curStride = r.baseStride
 	r.retired = 0
 	r.nextCapture = r.curStride
-	r.pending = false
 	r.baseCopy = nil
 }
 
-// step accounts one retired instruction and marks a capture as due at stride
-// boundaries. The schedulers call flush at resume-safe points only.
-func (r *WarpCheckpointRecorder) step() {
-	r.retired++
+// advance accounts n retired scheduler steps and captures a snapshot when
+// the stride came due. Call sites define the resume-safe points: after any
+// step in serial mode, at min-PC sweep boundaries in warp mode. The fast
+// tiers bound their runs by due() so that a capture never falls due
+// strictly inside a run: a serial thread pauses exactly at the due step, a
+// warp batch ends at the first sweep boundary at or past it.
+func (r *WarpCheckpointRecorder) advance(n int64) {
+	r.retired += n
 	if r.retired >= r.nextCapture {
-		r.pending = true
+		r.capture()
+		r.nextCapture = r.retired + r.curStride
 	}
 }
 
-// flush captures a due snapshot. Call sites define the resume-safe points:
-// after any step in serial mode, at min-PC sweep boundaries in warp mode.
-func (r *WarpCheckpointRecorder) flush() {
-	if !r.pending {
-		return
-	}
-	r.pending = false
-	r.capture()
-	r.nextCapture = r.retired + r.curStride
-}
+// due is the number of further retired steps after which a capture falls
+// due; always positive between advance calls.
+func (r *WarpCheckpointRecorder) due() int64 { return r.nextCapture - r.retired }
 
 // capture snapshots the current CTA state plus the global-memory delta
 // versus the floor CTA-boundary snapshot.

@@ -223,12 +223,21 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxSubmitBytes bounds a submission body; a valid one is a few hundred
+// bytes.
+const maxSubmitBytes = 64 << 10
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var sub Submission
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sub); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, err)
 		return
 	}
 	id, deduped, err := s.Submit(sub)

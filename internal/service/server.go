@@ -236,6 +236,9 @@ func (s *Server) Submit(sub Submission) (string, bool, error) {
 	if err != nil {
 		return "", false, err
 	}
+	if sub.Sites > MaxSites {
+		return "", false, fmt.Errorf("sites must be <= %d, got %d", MaxSites, sub.Sites)
+	}
 	fp := sub.fingerprint()
 	id := campaignID(fp)
 

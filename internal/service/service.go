@@ -67,6 +67,14 @@ const (
 	DefaultSites = 3000
 )
 
+// MaxSites caps a submission's campaign size at admission. A campaign
+// holds its site list, per-site outcomes and journal in memory and on disk,
+// so one request must not be able to ask for an unbounded amount of either;
+// the cap sits far above any campaign the paper's methodology needs (its
+// baselines run 60K sites per kernel). Journals recovered on restart are
+// not re-checked: they were admitted when written.
+const MaxSites = 1 << 20
+
 // normalize validates the submission against the same usage rules fsprune
 // enforces on its flags and fills in defaults. The returned submission is
 // canonical: equal campaigns normalize to equal values, which is what the

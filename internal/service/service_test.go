@@ -750,3 +750,36 @@ func TestAdviceErrors(t *testing.T) {
 		t.Errorf("advice of sharded campaign: HTTP %d, want 400", code)
 	}
 }
+
+// TestSubmitLimits: POST /campaigns refuses an oversized body with 413 and
+// a campaign above MaxSites with 400, before anything is admitted, while a
+// submission at the cap is still accepted.
+func TestSubmitLimits(t *testing.T) {
+	srv, err := service.New(service.Config{DataDir: t.TempDir(), Cache: fault.NewPreparedCache(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No Start: admitted campaigns stay queued, nothing executes.
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	huge := `{"kernel": "` + strings.Repeat("G", 1<<20) + `"}`
+	resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("1 MiB body: HTTP %d, want 413", resp.StatusCode)
+	}
+
+	if _, _, code := postCampaign(t, ts, service.Submission{Kernel: "GEMM K1", Sites: service.MaxSites + 1}); code != http.StatusBadRequest {
+		t.Errorf("sites above MaxSites: HTTP %d, want 400", code)
+	}
+	if st := getStats(t, ts); st.Submitted != 0 {
+		t.Errorf("rejected submissions were admitted: %+v", st)
+	}
+	if _, _, code := postCampaign(t, ts, service.Submission{Kernel: "GEMM K1", Sites: service.MaxSites}); code != http.StatusAccepted {
+		t.Errorf("sites at MaxSites: HTTP %d, want 202", code)
+	}
+}

@@ -8,7 +8,6 @@ package trace
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/gpusim"
 	"repro/internal/isa"
@@ -53,28 +52,40 @@ func Build(prog *isa.Program, pt *gpusim.ProfileTrace, threadsPerCTA int) (*Prof
 		Threads:       make([]ThreadProfile, len(pt.PCs)),
 		ThreadsPerCTA: threadsPerCTA,
 	}
+	// width[pc] is the destination width in bits, 0 without a destination.
+	width := make([]int64, len(prog.Instrs))
+	for pc := range prog.Instrs {
+		_, bits, _ := prog.Instrs[pc].DestReg()
+		width[pc] = int64(bits)
+	}
 	for t, pcs := range pt.PCs {
 		tp := &p.Threads[t]
 		tp.PCs = pcs
 		tp.ICnt = int64(len(pcs))
-		h := fnv.New64a()
-		var buf [2]byte
+		// Sig is FNV-1a over each entry's PC as two little-endian bytes,
+		// inlined: hash/fnv's per-Write call dominated Build.
+		h := uint64(fnvOffset64)
 		for _, entry := range pcs {
 			pc := gpusim.PC(entry)
 			if gpusim.Wrote(entry) {
-				_, bits, ok := prog.Instrs[pc].DestReg()
-				if !ok {
+				if pc >= len(width) || width[pc] == 0 {
 					return nil, fmt.Errorf("trace: pc %d flagged as write but has no destination", pc)
 				}
-				tp.SiteBits += int64(bits)
+				tp.SiteBits += width[pc]
 			}
-			buf[0], buf[1] = byte(pc), byte(pc>>8)
-			h.Write(buf[:])
+			h = (h ^ uint64(byte(pc))) * fnvPrime64
+			h = (h ^ uint64(byte(pc>>8))) * fnvPrime64
 		}
-		tp.Sig = h.Sum64()
+		tp.Sig = h
 	}
 	return p, nil
 }
+
+// 64-bit FNV-1a parameters, as in hash/fnv.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
 // NumCTAs reports the number of CTAs in the profiled launch.
 func (p *Profile) NumCTAs() int { return len(p.Threads) / p.ThreadsPerCTA }

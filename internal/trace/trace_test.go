@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"hash/fnv"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/gpusim"
@@ -211,5 +214,43 @@ func TestSelfLoop(t *testing.T) {
 	}
 	if tags[3].Iter != 2 {
 		t.Fatalf("self loop iter: %+v", tags[3])
+	}
+}
+
+// TestSigMatchesFNV pins Build's inlined signature hash to hash/fnv's
+// FNV-1a over each entry's PC as two little-endian bytes, on traces of
+// random length whose PCs span both bytes and carry random write flags.
+func TestSigMatchesFNV(t *testing.T) {
+	var src strings.Builder
+	for i := 0; i < 300; i++ {
+		src.WriteString("mov.u32 $r1, 1\n")
+	}
+	src.WriteString("exit\n")
+	prog := ptx.MustAssemble("wide", src.String())
+	rng := rand.New(rand.NewSource(1))
+	pt := &gpusim.ProfileTrace{PCs: make([][]uint16, 64)}
+	for t := range pt.PCs {
+		for i := rng.Intn(500); i > 0; i-- {
+			pc := rng.Intn(len(prog.Instrs) - 1)
+			entry := uint16(pc)
+			if rng.Intn(2) == 0 {
+				entry |= gpusim.WroteBit
+			}
+			pt.PCs[t] = append(pt.PCs[t], entry)
+		}
+	}
+	p, err := Build(prog, pt, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tid, pcs := range pt.PCs {
+		h := fnv.New64a()
+		for _, entry := range pcs {
+			pc := gpusim.PC(entry)
+			h.Write([]byte{byte(pc), byte(pc >> 8)})
+		}
+		if got, want := p.Threads[tid].Sig, h.Sum64(); got != want {
+			t.Fatalf("thread %d (%d entries): Sig %#x, hash/fnv %#x", tid, len(pcs), got, want)
+		}
 	}
 }
